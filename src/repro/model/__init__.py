@@ -2,14 +2,8 @@
 the parallel ensemble trainer, and the versioned artifact store."""
 
 from .artifact import ArtifactStore, LoadedArtifact, PublishResult
-from .kernels import (
-    ONLINE_KERNELS,
-    fit_epoch_blocked,
-    fit_epoch_minibatch,
-    fit_epoch_reference,
-)
+from .kernels import ONLINE_KERNELS, fit_epoch_blocked, fit_epoch_reference
 from .perceptron import (
-    FIT_MODES,
     HashedPerceptron,
     ensemble_margins,
     ensemble_partial_fit,
@@ -20,7 +14,6 @@ from .train_pool import TrainedMember, train_ensemble
 
 __all__ = [
     "ArtifactStore",
-    "FIT_MODES",
     "HashedPerceptron",
     "LoadedArtifact",
     "ONLINE_KERNELS",
@@ -29,7 +22,6 @@ __all__ = [
     "ensemble_margins",
     "ensemble_partial_fit",
     "fit_epoch_blocked",
-    "fit_epoch_minibatch",
     "fit_epoch_reference",
     "margin_scales",
     "train_ensemble",

@@ -91,19 +91,19 @@ class LoadedArtifact:
     def n_features(self) -> int:
         return int(self.models[0].n_features)
 
-    def score_rows(self, X: np.ndarray, *, batch_size: int | None = None) -> np.ndarray:
+    def score_rows(self, X: np.ndarray) -> np.ndarray:
         """Per-sample ensemble margins with the artifact's pinned scales —
         independent of how rows are batched."""
         Z = self.normalizer.transform(np.asarray(X, dtype=np.float64))
-        return ensemble_margins(self.models, Z, batch_size=batch_size, scales=self.scales)
+        return ensemble_margins(self.models, Z, scales=self.scales)
 
     def score_traces(
-        self, X: np.ndarray, groups: np.ndarray, n_traces: int, *, batch_size: int | None = None
+        self, X: np.ndarray, groups: np.ndarray, n_traces: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """(margins, per-trace verdicts) for a stacked sample matrix.  The
         serving daemon and the batch evaluator both go through here, which is
         what makes their verdicts bit-identical."""
-        margins = self.score_rows(X, batch_size=batch_size)
+        margins = self.score_rows(X)
         return margins, trace_verdicts(margins, groups, n_traces)
 
 

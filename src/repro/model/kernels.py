@@ -21,7 +21,7 @@ once per occurrence equals adding ``target * multiplicity`` once, and
 clamping only the touched entries equals the full clip (every untouched
 weight is already in range).
 
-Three kernels:
+Two numpy kernels:
 
 - :func:`fit_epoch_reference` — the naive per-sample loop with ``np.add.at``,
   kept as the executable specification.  The equivalence tests pin the fast
@@ -35,19 +35,8 @@ Three kernels:
   Block size adapts: it grows geometrically through update-free stretches
   (converged epochs stream in a handful of numpy calls) and shrinks while
   updates are dense (early epochs pay only for short gathers).
-- :func:`fit_epoch_minibatch` — applies the threshold rule once per
-  mini-batch: margins for the whole batch are computed against the weights
-  at batch start, every below-threshold sample's update lands in one
-  signed-``bincount`` scatter, and the net-changed weights are clamped once.
-  This is a *different training order* from the online rule (decisions
-  within a batch do not see each other's updates, and clamping is
-  per-batch), so it is opt-in and gated by the golden-corpus accuracy check
-  rather than the bit-identical guarantee.  Batch size is an accuracy knob:
-  the default stays small because hashed slots are shared across most
-  sample pairs and stale wide-batch decisions over-update toward the
-  majority class.
 
-A fourth, :func:`fit_epoch_native`, is the reference loop compiled to C
+A third, :func:`fit_epoch_native`, is the reference loop compiled to C
 (:mod:`repro.model._native`): same sequential order, same integer
 arithmetic, bit-identical weights — available only where a C compiler (or a
 cached build) exists, which :func:`resolve_kernel` probes when asked for
@@ -70,12 +59,6 @@ from . import _native
 MIN_BLOCK = 4
 MAX_BLOCK = 512
 
-#: default samples per batch in :func:`fit_epoch_minibatch` — deliberately
-#: small: decisions within a batch are stale, and the hashed slots are shared
-#: across most sample pairs, so wide batches overshoot the theta band in the
-#: majority-class direction and cost accuracy
-DEFAULT_MINIBATCH = 8
-
 
 @dataclass
 class TrainPlan:
@@ -87,8 +70,8 @@ class TrainPlan:
     sample map several features to one slot).
     ``uoffs``  — ``(n_samples + 1,)`` row offsets into ``uidx``/``ucount``.
 
-    The CSR triple is built lazily on first access: the numpy kernels need
-    it for their scatter updates, but the native kernel walks ``flat``
+    The CSR triple is built lazily on first access: the blocked kernel needs
+    it for its scatter updates, but the native kernel walks ``flat``
     directly, and skipping the row-wise ``np.sort`` is a measurable slice of
     a small-corpus fit.
     """
@@ -235,48 +218,6 @@ def fit_epoch_blocked(
     return updates
 
 
-def fit_epoch_minibatch(
-    w: np.ndarray,
-    plan: TrainPlan,
-    y: np.ndarray,
-    order: np.ndarray,
-    theta: float,
-    clamp: int,
-    *,
-    batch_size: int = DEFAULT_MINIBATCH,
-) -> int:
-    """Batched threshold rule: decide a whole mini-batch against the weights
-    at batch start, apply every update in one signed bincount scatter, clamp
-    the net-changed weights once."""
-    updates = 0
-    n = len(order)
-    batch_size = max(1, int(batch_size))
-    fo = plan.permuted_rows(order)
-    yo = y.take(order)
-    for start in range(0, n, batch_size):
-        fb = fo[start : start + batch_size]
-        yb = yo[start : start + batch_size]
-        margins = w.take(fb).sum(axis=1, dtype=np.int32)
-        needs = yb * margins <= theta
-        k = int(needs.sum())
-        if not k:
-            continue
-        sel = fb[needs]
-        t = yb[needs]
-        # ±1 targets split into two integer bincounts: exact, no float
-        # weights, and duplicates inside a sample accumulate naturally
-        delta = np.bincount(sel[t > 0].ravel(), minlength=w.size)
-        delta -= np.bincount(sel[t < 0].ravel(), minlength=w.size)
-        w += delta
-        touched = np.flatnonzero(delta)
-        wt = w.take(touched)
-        np.minimum(wt, clamp, out=wt)
-        np.maximum(wt, -clamp, out=wt)
-        w[touched] = wt
-        updates += k
-    return updates
-
-
 def fit_epoch_native(
     w: np.ndarray,
     plan: TrainPlan,
@@ -299,15 +240,14 @@ def fit_epoch_native(
     return _native.fit_epoch(w, plan.flat, y, order, theta, clamp)
 
 
-#: online kernels, selectable by name; minibatch is a *mode*, not a kernel,
-#: because it changes training order rather than just the execution plan
+#: online kernels, selectable by name; all share one training order
 ONLINE_KERNELS = {
     "blocked": fit_epoch_blocked,
     "native": fit_epoch_native,
     "reference": fit_epoch_reference,
 }
 
-#: kernel names accepted by ``fit``/``fit_epoch``/``partial_fit``: the
+#: kernel names accepted by ``fit``/``partial_fit``: the
 #: concrete kernels plus ``auto`` (best available, always bit-identical)
 KERNEL_CHOICES = ("auto", *sorted(ONLINE_KERNELS))
 

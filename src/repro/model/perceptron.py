@@ -15,19 +15,11 @@ import numpy as np
 
 from ..errors import ModelError
 from . import _native
-from .kernels import (
-    ONLINE_KERNELS,
-    TrainPlan,
-    fit_epoch_minibatch,
-    resolve_kernel,
-)
+from .kernels import ONLINE_KERNELS, TrainPlan, resolve_kernel
 
 MODEL_VERSION = 1
 
-#: training modes accepted by :meth:`HashedPerceptron.fit`
-FIT_MODES = ("online", "minibatch")
-
-#: rows scored per chunk in the batched decision path; bounds the transient
+#: rows scored per chunk by the numpy decision path; bounds the transient
 #: (batch, n_features) int64 index matrix to ~75 MB at 1159 features
 DEFAULT_BATCH_SIZE = 8192
 
@@ -148,13 +140,7 @@ class HashedPerceptron:
 
     # -- inference -------------------------------------------------------
 
-    def decision(
-        self,
-        X: np.ndarray | None,
-        *,
-        batch_size: int | None = None,
-        bins: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def decision(self, X: np.ndarray | None, *, bins: np.ndarray | None = None) -> np.ndarray:
         """Signed margin per sample.
 
         Pass ``bins`` (a precomputed :func:`quantize_bins` matrix) to skip
@@ -162,8 +148,8 @@ class HashedPerceptron:
         result across members, which is bit-identical because quantization
         is salt-free.  The numpy path materializes a ``(n_samples,
         n_features)`` index matrix, so large matrices are processed in
-        ``batch_size`` chunks (default :data:`DEFAULT_BATCH_SIZE`); per-row
-        sums are independent, so chunking is bit-identical to one shot.
+        :data:`DEFAULT_BATCH_SIZE` chunks; per-row sums are independent, so
+        chunking is bit-identical to one shot.
         The native path fuses hash+gather+sum and never materializes the
         index matrix at all.
         """
@@ -181,20 +167,16 @@ class HashedPerceptron:
                 self.table_size - 1,
             )
             return margins.astype(np.float64)
-        batch = batch_size if batch_size and batch_size > 0 else DEFAULT_BATCH_SIZE
-        n = bins.shape[0]
-        if n <= batch:
-            flat = self._flat_from_bins(bins)
-            return w[flat].sum(axis=1).astype(np.float64)
-        out = np.empty(n, dtype=np.float64)
-        for start in range(0, n, batch):
+        batch = DEFAULT_BATCH_SIZE
+        out = np.empty(bins.shape[0], dtype=np.float64)
+        for start in range(0, bins.shape[0], batch):
             flat = self._flat_from_bins(bins[start : start + batch])
             out[start : start + batch] = w[flat].sum(axis=1)
         return out
 
-    def predict(self, X: np.ndarray, *, batch_size: int | None = None) -> np.ndarray:
+    def predict(self, X: np.ndarray) -> np.ndarray:
         """+1 attack / -1 benign per sample (0 margin counts as benign)."""
-        return np.where(self.decision(X, batch_size=batch_size) > 0, 1, -1).astype(np.int64)
+        return np.where(self.decision(X) > 0, 1, -1).astype(np.int64)
 
     # -- training --------------------------------------------------------
 
@@ -203,24 +185,6 @@ class HashedPerceptron:
         if set(np.unique(y)) - {-1, 1}:
             raise ModelError("labels must be -1 or +1")
         return y.astype(np.int64, copy=False)
-
-    def fit_epoch(
-        self, X: np.ndarray, y: np.ndarray, *, shuffle_rng=None, kernel: str = "auto"
-    ) -> int:
-        """One online pass; returns the number of weight updates made.
-
-        ``kernel`` selects the execution plan (``auto``, ``native``,
-        ``blocked``, or ``reference``); every online kernel produces
-        bit-identical weights, which the equivalence tests pin.  Standalone
-        calls recompute the hash indices — :meth:`fit` computes them once
-        and reuses them across every epoch.
-        """
-        y = self._check_labels(y)
-        plan = TrainPlan.from_flat(self._flat_indices(X))
-        order = np.arange(len(y))
-        if shuffle_rng is not None:
-            shuffle_rng.shuffle(order)
-        return self._run_online_epoch(plan, y, order, kernel)
 
     def _run_online_epoch(
         self, plan: TrainPlan, y: np.ndarray, order: np.ndarray, kernel: str
@@ -259,50 +223,37 @@ class HashedPerceptron:
 
     def fit(
         self,
-        X: np.ndarray,
+        X: np.ndarray | None,
         y: np.ndarray,
         *,
         epochs: int = 20,
         seed: int | None = None,
-        mode: str = "online",
         kernel: str = "auto",
-        minibatch_size: int | None = None,
         bins: np.ndarray | None = None,
     ) -> list[int]:
         """Train until an epoch makes no misprediction-driven updates or the
         epoch budget runs out; returns per-epoch update counts.
 
         Label validation and hash-index computation run **once** here and are
-        reused by every epoch.  ``mode="online"`` (default) is the sequential
-        threshold rule, bit-identical for every ``kernel``;
-        ``mode="minibatch"`` applies the rule per mini-batch — a different
-        but accuracy-equivalent training order.  ``bins`` optionally supplies
-        the precomputed (salt-free) :func:`quantize_bins` matrix for ``X`` so
-        ensemble trainers quantize once per matrix instead of once per
-        member; the shared-memory pool passes an attached read-only view.
+        reused by every epoch.  Each epoch is the sequential threshold rule
+        over a fresh shuffle, bit-identical for every ``kernel``.  ``bins``
+        optionally supplies the precomputed (salt-free) :func:`quantize_bins`
+        matrix for ``X`` so ensemble trainers quantize once per matrix
+        instead of once per member; the shared-memory pool passes an
+        attached read-only view.
         """
-        if mode not in FIT_MODES:
-            raise ModelError(f"unknown fit mode {mode!r}; expected one of {FIT_MODES}")
-        if mode == "online":
-            kernel = resolve_kernel(kernel)
+        kernel = resolve_kernel(kernel)
         y = self._check_labels(y)
         if bins is None:
             bins = self._quantize(self._check_X(X))
         plan = TrainPlan.from_flat(self._flat_from_bins(bins))
-        w = self.weights.ravel()
         rng = np.random.default_rng(self.seed if seed is None else seed)
         n = len(y)
         history = []
         for _ in range(epochs):
             order = np.arange(n)
             rng.shuffle(order)
-            if mode == "minibatch":
-                kwargs = {} if minibatch_size is None else {"batch_size": minibatch_size}
-                updates = fit_epoch_minibatch(
-                    w, plan, y, order, self.theta, self.weight_clamp, **kwargs
-                )
-            else:
-                updates = self._run_online_epoch(plan, y, order, kernel)
+            updates = self._run_online_epoch(plan, y, order, kernel)
             history.append(updates)
             if updates == 0:
                 break
@@ -408,13 +359,7 @@ class HashedPerceptron:
 # ---------------------------------------------------------------------------
 
 
-def ensemble_margins(
-    models,
-    X: np.ndarray,
-    *,
-    batch_size: int | None = None,
-    scales=None,
-) -> np.ndarray:
+def ensemble_margins(models, X: np.ndarray, *, scales=None) -> np.ndarray:
     """Per-sample margin averaged over ensemble members, each normalized by
     its own mean magnitude so no member dominates.
 
@@ -435,7 +380,7 @@ def ensemble_margins(
     bins = _shared_quantize(models, X)
     total = np.zeros(np.asarray(X).shape[0], dtype=np.float64)
     for k, model in enumerate(models):
-        d = model.decision(X, batch_size=batch_size, bins=bins)
+        d = model.decision(X, bins=bins)
         scale = float(scales[k]) if scales is not None else np.abs(d).mean()
         total += d / (scale + 1e-9)
     return total / len(models)
@@ -484,7 +429,7 @@ def ensemble_partial_fit(
     ]
 
 
-def margin_scales(models, X: np.ndarray, *, batch_size: int | None = None) -> list[float]:
+def margin_scales(models, X: np.ndarray) -> list[float]:
     """Per-member mean ``|margin|`` over a reference matrix (typically the
     training set) — the fixed normalization constants stored in a model
     artifact so serving-time margins do not depend on batch composition."""
@@ -492,7 +437,7 @@ def margin_scales(models, X: np.ndarray, *, batch_size: int | None = None) -> li
         raise ModelError("ensemble is empty")
     bins = _shared_quantize(models, X)
     return [
-        float(np.abs(model.decision(X, batch_size=batch_size, bins=bins)).mean())
+        float(np.abs(model.decision(X, bins=bins)).mean())
         for model in models
     ]
 

@@ -1,4 +1,4 @@
-"""Process-based parallel ensemble training with a zero-copy fast path.
+"""Process-based parallel ensemble training over shared memory.
 
 :func:`train_ensemble` fits every hash-seeded ensemble member and returns
 them **in model order**, with per-member training seconds and update
@@ -8,19 +8,15 @@ order, and weights all derive from it, never from worker identity or shared
 state), so ``workers=N`` produces bit-identical models to ``workers=1`` for
 any ``N`` — the train-pool regression tests pin this.
 
-Two pooled transports exist, selected by ``shm``:
-
-* ``shm="on"`` (and the ``"auto"`` default when pooled): the parent
-  quantizes the feature matrix **once** into the salt-free uint8 bins
-  matrix every member shares, puts bins + labels into
-  ``multiprocessing.shared_memory`` via :mod:`repro.model.shm`, and ships
-  workers only segment names, dtypes/shapes, and member seeds.  Workers
-  attach read-only views and fit against them directly — no per-worker
-  matrix pickle, no per-member re-quantize.  The parent owns segment
-  lifetime: a ``finally`` unlinks everything on success, worker crash, and
-  ``KeyboardInterrupt`` alike, which the resource-leak tests pin.
-* ``shm="off"``: the legacy transport — the float64 matrix is broadcast
-  once per worker through the pool initializer (pickled per worker).
+The parent quantizes the feature matrix **once** into the salt-free uint8
+bins matrix every member shares.  Serial training hands it to each member
+in turn; the pool puts bins + labels into ``multiprocessing.shared_memory``
+via :mod:`repro.model.shm` and ships workers only segment names,
+dtypes/shapes, and member seeds.  Workers attach read-only views and fit
+against them directly — no per-worker matrix pickle, no per-member
+re-quantize.  The parent owns segment lifetime: a ``finally`` unlinks
+everything on success, worker crash, and ``KeyboardInterrupt`` alike, which
+the resource-leak tests pin.
 
 A worker that dies mid-fit (e.g. SIGKILL) or raises degrades gracefully:
 the pool logs a ``train_pool.worker_lost`` WARNING and refits that member
@@ -43,15 +39,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ModelError
 from ..telemetry import get_logger, log_event
 from .perceptron import HashedPerceptron, quantize_bins
 from .shm import AttachedArrays, SharedArrays
 
 logger = get_logger("repro.model.train_pool")
-
-#: accepted values for ``train_ensemble(shm=...)``
-SHM_CHOICES = ("auto", "on", "off")
 
 #: failure-injection hooks for the crash/leak test suites: set to a member
 #: index to SIGKILL the fitting worker / raise mid-fit for that member
@@ -66,17 +58,6 @@ class TrainedMember:
     model: HashedPerceptron
     history: list[int] = field(default_factory=list)
     train_s: float = 0.0
-
-
-def resolve_shm(shm: str, workers: int) -> bool:
-    """Whether the pooled path should use shared-memory transport."""
-    if shm not in SHM_CHOICES:
-        raise ModelError(f"unknown shm mode {shm!r}; expected one of {SHM_CHOICES}")
-    if shm == "on":
-        return True
-    if shm == "off":
-        return False
-    return workers > 1
 
 
 def _maybe_inject_failure(member: int) -> None:
@@ -97,36 +78,14 @@ def _fit_one(
     fit_kwargs: dict,
     *,
     y: np.ndarray,
-    X: np.ndarray | None = None,
-    bins: np.ndarray | None = None,
+    bins: np.ndarray,
 ) -> tuple[int, np.ndarray, list[int], float]:
-    """Fit member ``k`` from either the raw matrix or precomputed bins."""
+    """Fit member ``k`` from the shared quantized bins matrix."""
     t0 = time.monotonic()
     model = HashedPerceptron(n_features, seed=seed, **model_kwargs)
-    history = model.fit(X, y, bins=bins, **fit_kwargs)
+    history = model.fit(None, y, bins=bins, **fit_kwargs)
     return k, model.weights, history, time.monotonic() - t0
 
-
-# -- legacy broadcast transport (shm="off") --------------------------------
-
-_WORKER_STATE: tuple | None = None
-
-
-def _init_worker(X: np.ndarray, y: np.ndarray, model_kwargs: dict, fit_kwargs: dict) -> None:
-    """Stash the broadcast training set once per worker process."""
-    global _WORKER_STATE
-    _WORKER_STATE = (X, y, model_kwargs, fit_kwargs)
-
-
-def _fit_member(task: tuple[int, int, int]) -> tuple[int, np.ndarray, list[int], float]:
-    k, n_features, seed = task
-    assert _WORKER_STATE is not None, "worker initializer did not run"
-    X, y, model_kwargs, fit_kwargs = _WORKER_STATE
-    _maybe_inject_failure(k)
-    return _fit_one(k, n_features, seed, model_kwargs, fit_kwargs, y=y, X=X)
-
-
-# -- shared-memory transport (shm="on") ------------------------------------
 
 _SHM_STATE: tuple | None = None
 
@@ -170,15 +129,12 @@ def train_ensemble(
     model_kwargs: dict | None = None,
     fit_kwargs: dict | None = None,
     workers: int = 1,
-    shm: str = "auto",
 ) -> list[TrainedMember]:
     """Fit one member per seed; results are returned in ``seeds`` order.
 
-    ``workers <= 1`` trains serially in-process (quantizing once and
-    sharing the bins matrix across members).  ``shm`` selects the pooled
-    transport: ``"on"``/``"off"`` force it, ``"auto"`` uses shared memory
-    whenever the pool is active.  Both transports and the serial path are
-    bit-identical.  ``model_kwargs`` feeds the :class:`HashedPerceptron`
+    ``workers <= 1`` trains serially in-process; more workers fit members
+    in a process pool that attaches to one shared-memory bins matrix.  Both
+    are bit-identical.  ``model_kwargs`` feeds the :class:`HashedPerceptron`
     constructor (minus ``seed``); ``fit_kwargs`` feeds
     :meth:`HashedPerceptron.fit`.
     """
@@ -186,25 +142,51 @@ def train_ensemble(
     fit_kwargs = dict(fit_kwargs or {})
     t_start = time.monotonic()
     n_workers = max(1, min(workers, len(seeds))) if seeds else 1
-    use_shm = resolve_shm(shm, n_workers)
-    log_event(
-        logger,
-        "train_pool.start",
-        workers=n_workers,
-        members=len(seeds),
-        mode=fit_kwargs.get("mode", "online"),
-        shm=use_shm,
-    )
-    X = np.ascontiguousarray(X)
+    log_event(logger, "train_pool.start", workers=n_workers, members=len(seeds))
     y = np.asarray(y)
     n_bins = int(model_kwargs.get("n_bins", 16))
     # quantization is salt-free, so one bins matrix serves every member —
-    # this is both the serial fast path and the shm payload (uint8: 8x
-    # smaller than the float64 features)
+    # the serial fast path and the shm payload (uint8: 8x smaller than the
+    # float64 features)
     bins = quantize_bins(X, n_bins)
-    members: list[TrainedMember] = []
 
-    def record(k: int, weights: np.ndarray, history: list[int], elapsed: float) -> None:
+    def fit_here(k: int) -> tuple[int, np.ndarray, list[int], float]:
+        return _fit_one(k, n_features, seeds[k], model_kwargs, fit_kwargs, y=y, bins=bins)
+
+    if n_workers <= 1:
+        results = [fit_here(k) for k in range(len(seeds))]
+    else:
+        results = [None] * len(seeds)
+        lost: list[tuple[int, str]] = []
+        with SharedArrays({"bins": bins, "y": y.astype(np.int64, copy=False)}) as shared:
+            with ProcessPoolExecutor(
+                max_workers=n_workers,
+                initializer=_init_shm_worker,
+                initargs=(shared.wire_specs(), model_kwargs, fit_kwargs),
+            ) as executor:
+                futures = [
+                    executor.submit(_fit_member_shm, (k, n_features, seed))
+                    for k, seed in enumerate(seeds)
+                ]
+                for k, fut in enumerate(futures):
+                    try:
+                        results[k] = fut.result()
+                    except Exception as exc:  # worker died or raised mid-fit
+                        lost.append((k, f"{type(exc).__name__}: {exc}"))
+        # refit lost members in the parent, after the (possibly broken) pool
+        # is torn down; the parent's own bins matrix holds the same bytes
+        for k, reason in lost:
+            log_event(
+                logger,
+                "train_pool.worker_lost",
+                level=logging.WARNING,
+                member=k,
+                seed=seeds[k],
+                reason=reason[:200],
+            )
+            results[k] = fit_here(k)
+    members: list[TrainedMember] = []
+    for k, weights, history, elapsed in results:
         model = HashedPerceptron(n_features, seed=seeds[k], **model_kwargs)
         model.weights = np.asarray(weights, dtype=np.int32)
         members.append(TrainedMember(model=model, history=history, train_s=elapsed))
@@ -216,82 +198,11 @@ def train_ensemble(
             epochs=len(history),
             elapsed=f"{elapsed:.3f}",
         )
-
-    if n_workers <= 1:
-        for k, seed in enumerate(seeds):
-            record(*_fit_one(k, n_features, seed, model_kwargs, fit_kwargs, y=y, bins=bins))
-    elif use_shm:
-        with SharedArrays({"bins": bins, "y": y.astype(np.int64, copy=False)}) as shared:
-            with ProcessPoolExecutor(
-                max_workers=n_workers,
-                initializer=_init_shm_worker,
-                initargs=(shared.wire_specs(), model_kwargs, fit_kwargs),
-            ) as executor:
-                futures = [
-                    executor.submit(_fit_member_shm, (k, n_features, seed))
-                    for k, seed in enumerate(seeds)
-                ]
-                results: list[tuple | None] = [None] * len(seeds)
-                fallbacks: list[tuple[int, str]] = []
-                for k, fut in enumerate(futures):
-                    try:
-                        results[k] = fut.result()
-                    except Exception as exc:  # worker died or raised mid-fit
-                        fallbacks.append((k, f"{type(exc).__name__}: {exc}"))
-            # refit lost members in the parent (outside the executor block so
-            # a broken pool is already torn down, inside the shm block so the
-            # bins matrix is still the one the workers saw)
-            for k, reason in fallbacks:
-                log_event(
-                    logger,
-                    "train_pool.worker_lost",
-                    level=logging.WARNING,
-                    member=k,
-                    seed=seeds[k],
-                    reason=reason[:200],
-                )
-                results[k] = _fit_one(
-                    k, n_features, seeds[k], model_kwargs, fit_kwargs, y=y, bins=bins
-                )
-            for res in results:
-                assert res is not None
-                record(*res)
-    else:
-        tasks = [(k, n_features, seed) for k, seed in enumerate(seeds)]
-        with ProcessPoolExecutor(
-            max_workers=n_workers,
-            initializer=_init_worker,
-            initargs=(X, y, model_kwargs, fit_kwargs),
-        ) as executor:
-            futures = [executor.submit(_fit_member, task) for task in tasks]
-            results = [None] * len(seeds)
-            fallbacks = []
-            for k, fut in enumerate(futures):
-                try:
-                    results[k] = fut.result()
-                except Exception as exc:
-                    fallbacks.append((k, f"{type(exc).__name__}: {exc}"))
-        for k, reason in fallbacks:
-            log_event(
-                logger,
-                "train_pool.worker_lost",
-                level=logging.WARNING,
-                member=k,
-                seed=seeds[k],
-                reason=reason[:200],
-            )
-            results[k] = _fit_one(
-                k, n_features, seeds[k], model_kwargs, fit_kwargs, y=y, bins=bins
-            )
-        for res in results:
-            assert res is not None
-            record(*res)
     log_event(
         logger,
         "train_pool.done",
         workers=n_workers,
         members=len(members),
-        shm=use_shm,
         elapsed=f"{time.monotonic() - t_start:.3f}",
     )
     return members

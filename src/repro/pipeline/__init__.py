@@ -10,9 +10,7 @@ With ``cache_dir`` set, decodes are memoized in a
 :class:`~repro.cache.FeatureCache`, so warm runs skip the salvage decoder.
 Worker count (ingest *and* training), cache state, and the online epoch
 kernel never change *what* is computed — only how fast — which the
-fault-matrix and train-pool regression tests pin down.  The one opt-in
-exception is ``fit_mode="minibatch"``: a different but accuracy-equivalent
-training order, gated by the golden-corpus accuracy check.
+fault-matrix and train-pool regression tests pin down.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from ..telemetry import get_logger, log_event, span
 
 logger = get_logger("repro.pipeline")
 
-METRICS_VERSION = 4
+METRICS_VERSION = 5
 
 
 @dataclass
@@ -71,20 +69,12 @@ class PipelineConfig:
     dataset_cache_dir: str | None = None
     #: retry policy for transient read failures (None = defaults)
     retry_policy: RetryPolicy | None = None
-    #: rows per scoring chunk; None = model default
-    batch_size: int | None = None
-    #: training order: "online" (bit-identical default) or "minibatch"
-    fit_mode: str = "online"
     #: online epoch kernel: "auto" (native C when a compiler is available,
     #: else blocked), "native", "blocked", or "reference" — all bit-identical
     fit_kernel: str = "auto"
-    #: samples per minibatch when fit_mode="minibatch"; None = kernel default
-    minibatch_size: int | None = None
-    #: ensemble-member training processes; <= 1 trains serially in-process
+    #: ensemble-member training processes; <= 1 trains serially in-process,
+    #: more attach to one shared-memory bins matrix — bit-identical
     train_workers: int = 1
-    #: pooled-training transport: "auto" (shared memory whenever pooled),
-    #: "on", or "off" (legacy per-worker matrix broadcast) — bit-identical
-    train_shm: str = "auto"
     #: when set, publish a versioned serving artifact (ensemble + normalizer
     #: + pinned margin scales) into this store after training
     artifact_root: str | None = None
@@ -171,7 +161,8 @@ def per_family_metrics(
 
 def split_traces(traces, test_frac: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Stratified per-class trace split; classes with a single trace stay in
-    train.  Returns (train_idx, test_idx)."""
+    train, so a corpus of single-trace classes has an empty test split.
+    Returns (train_idx, test_idx)."""
     rng = np.random.default_rng(seed)
     by_class: dict[str, list[int]] = {}
     for i, trace in enumerate(traces):
@@ -274,10 +265,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
         logger,
         "pipeline.train",
         members=n_models,
-        mode=config.fit_mode,
         kernel=config.fit_kernel,
         workers=config.train_workers,
-        shm=config.train_shm,
     ) as train_span:
         members = train_ensemble(
             Xtr,
@@ -290,14 +279,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
                 "n_bins": config.n_bins,
                 "theta": config.theta,
             },
-            fit_kwargs={
-                "epochs": config.epochs,
-                "mode": config.fit_mode,
-                "kernel": config.fit_kernel,
-                "minibatch_size": config.minibatch_size,
-            },
+            fit_kwargs={"epochs": config.epochs, "kernel": config.fit_kernel},
             workers=config.train_workers,
-            shm=config.train_shm,
         )
         for k, member in enumerate(members):
             member.model.save(out_dir / "models" / f"member_{k}.npz")
@@ -309,7 +292,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     # ---- artifact publish -----------------------------------------------
     artifact_doc = None
     if config.artifact_root is not None:
-        scales = margin_scales(models, Xtr, batch_size=config.batch_size)
+        scales = margin_scales(models, Xtr)
         published = ArtifactStore(config.artifact_root).publish(
             models,
             normalizer,
@@ -331,11 +314,13 @@ def run_pipeline(config: PipelineConfig) -> dict:
         }
 
     # ---- eval -----------------------------------------------------------
-    margins_test = ensemble_margins(models, Xte, batch_size=config.batch_size)
-    interval_acc = (
-        float((np.where(margins_test > 0, 1, -1) == yte).mean()) if len(yte) else float("nan")
-    )
-    margins_all = ensemble_margins(models, X_all, batch_size=config.batch_size)
+    # an empty test split has no accuracy: report null rather than scoring
+    # zero rows (whose mean-|margin| normalization is 0/0)
+    interval_acc = None
+    if len(yte):
+        margins_test = ensemble_margins(models, Xte)
+        interval_acc = float((np.where(margins_test > 0, 1, -1) == yte).mean())
+    margins_all = ensemble_margins(models, X_all)
     verdicts = trace_verdicts(margins_all, dataset.groups, len(dataset.traces))
     truth = dataset.trace_labels()
     margin_sums = np.bincount(dataset.groups, weights=margins_all, minlength=len(dataset.traces))
@@ -398,11 +383,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
             "n_bins": config.n_bins,
             "theta": config.theta,
             "n_models": config.n_models,
-            "fit_mode": config.fit_mode,
             "fit_kernel": config.fit_kernel,
-            "minibatch_size": config.minibatch_size,
             "train_workers": config.train_workers,
-            "train_shm": config.train_shm,
             "dataset_cache_dir": config.dataset_cache_dir,
             "faults": vars(config.faults) if config.faults else None,
         },
@@ -423,7 +405,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         "artifact": artifact_doc,
         "metrics": {
             "interval_accuracy": interval_acc,
-            "trace_accuracy": (n_correct / n_eval) if n_eval else float("nan"),
+            "trace_accuracy": (n_correct / n_eval) if n_eval else None,
             "benign_false_positive_rate": (benign_fp / benign_total) if benign_total else 0.0,
             "attack_recall": attack_recall,
             "per_class": per_class,
@@ -441,10 +423,11 @@ def run_pipeline(config: PipelineConfig) -> dict:
             doc["stats"] = assembly.cache.stats.to_json()
         metrics["dataset_cache"] = doc
     (out_dir / "metrics.json").write_text(json.dumps(metrics, indent=2) + "\n")
+    trace_accuracy = metrics["metrics"]["trace_accuracy"]
     log_event(
         logger,
         "pipeline.done",
-        trace_accuracy=f"{metrics['metrics']['trace_accuracy']:.4f}",
+        trace_accuracy="null" if trace_accuracy is None else f"{trace_accuracy:.4f}",
         fpr=f"{metrics['metrics']['benign_false_positive_rate']:.4f}",
         quarantined=len(quarantine),
         out=str(out_dir),

@@ -53,20 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
         "decode and assembly entirely (key sweep + one mmap load)",
     )
     parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        metavar="ROWS",
-        help="rows per scoring chunk (default: model's built-in batch size)",
-    )
-    parser.add_argument(
-        "--fit-mode",
-        choices=("online", "minibatch"),
-        default="online",
-        help="training order: online (bit-identical default) or minibatch "
-        "(batched threshold rule; accuracy-equivalent, not bit-identical)",
-    )
-    parser.add_argument(
         "--fit-kernel",
         choices=("auto", "native", "blocked", "reference"),
         default="auto",
@@ -76,26 +62,12 @@ def build_parser() -> argparse.ArgumentParser:
         "regression triage",
     )
     parser.add_argument(
-        "--minibatch-size",
-        type=int,
-        default=None,
-        metavar="ROWS",
-        help="samples per minibatch when --fit-mode minibatch (default: kernel default)",
-    )
-    parser.add_argument(
         "--train-workers",
         type=int,
         default=1,
-        help="ensemble-member training processes (1 = serial in-process); "
-        "semantics-free like --workers",
-    )
-    parser.add_argument(
-        "--train-shm",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="pooled-training transport: shared-memory segments (workers "
-        "attach to one quantized matrix) vs legacy per-worker broadcast; "
-        "bit-identical either way, auto = shm whenever pooled",
+        help="ensemble-member training processes (1 = serial in-process; "
+        "more attach to one shared-memory quantized matrix); semantics-free "
+        "like --workers",
     )
     parser.add_argument(
         "--faults",
@@ -147,12 +119,8 @@ def main(argv: list[str] | None = None) -> int:
         workers=args.workers,
         cache_dir=args.cache_dir,
         dataset_cache_dir=args.dataset_cache_dir,
-        batch_size=args.batch_size,
-        fit_mode=args.fit_mode,
         fit_kernel=args.fit_kernel,
-        minibatch_size=args.minibatch_size,
         train_workers=args.train_workers,
-        train_shm=args.train_shm,
         artifact_root=args.artifact_root,
     )
     try:

@@ -53,7 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write refused-payload quarantine manifest here",
     )
-    parser.add_argument("--batch-size", type=int, default=None, help="rows per scoring chunk")
     parser.add_argument("--drain-timeout", type=float, default=defaults.drain_timeout_s)
     drift = parser.add_argument_group("drift monitoring / online learning")
     drift.add_argument(
@@ -88,12 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=defaults.retrain_workers,
         help="member-fit processes for full-mode retrains (bit-identical for any N)",
     )
-    drift.add_argument(
-        "--retrain-shm",
-        choices=("auto", "on", "off"),
-        default=defaults.retrain_shm,
-        help="pooled-retrain transport (shared-memory attach vs per-worker broadcast)",
-    )
     drift.add_argument("--retrain-min-traces", type=int, default=defaults.retrain_min_traces)
     drift.add_argument("--retrain-backoff", type=float, default=defaults.retrain_backoff_s)
     drift.add_argument("--canary-min-traces", type=int, default=defaults.canary_min_traces)
@@ -120,7 +113,6 @@ def main(argv: list[str] | None = None) -> int:
         decode_timeout_s=args.decode_timeout,
         reload_poll_s=args.reload_poll,
         quarantine_path=args.quarantine,
-        batch_size=args.batch_size,
         drain_timeout_s=args.drain_timeout,
         drift_window=args.drift_window,
         drift_min_feedback=args.drift_min_feedback,
@@ -135,7 +127,6 @@ def main(argv: list[str] | None = None) -> int:
         retrain_passes=args.retrain_passes,
         retrain_timeout_s=args.retrain_timeout,
         retrain_workers=args.retrain_workers,
-        retrain_shm=args.retrain_shm,
         retrain_min_traces=args.retrain_min_traces,
         retrain_backoff_s=args.retrain_backoff,
         canary_min_traces=args.canary_min_traces,

@@ -17,13 +17,12 @@ nothing else.
 passes starting from the base weights (the streaming path the bit-identity
 property test pins); ``--mode full`` refits every member from scratch on the
 feedback batch through :func:`~repro.model.train_ensemble` — which means
-full retrains get the same ``--train-workers`` / ``--train-shm`` transport
-as the batch pipeline, and a supervisor-driven production retrain stops
-re-pickling the feedback matrix per worker.  Member fits are pure functions
-of ``(seed, data)``, so the pooled/shm retrain is bit-identical to the
-serial one (pinned by the serve-drift tests).  Partial mode always trains
-in-process: it *continues from the base weights*, which the from-scratch
-pool contract does not cover, and a few incremental passes are cheap.
+full retrains get the same ``--train-workers`` shared-memory pool as the
+batch pipeline.  Member fits are pure functions of ``(seed, data)``, so the
+pooled retrain is bit-identical to the serial one (pinned by the
+serve-drift tests).  Partial mode always trains in-process: it *continues
+from the base weights*, which the from-scratch pool contract does not
+cover, and a few incremental passes are cheap.
 
 The feedback ``.npz`` carries ``X`` (stacked interval rows), ``groups``
 (per-row trace id), and ``labels`` (per-trace ±1); per-row labels are the
@@ -49,7 +48,6 @@ import numpy as np
 from ..errors import ReproError, RetrainFailed
 from ..features import assemble_corpus
 from ..model import ArtifactStore, ensemble_partial_fit, margin_scales, train_ensemble
-from ..model.train_pool import SHM_CHOICES
 from ..telemetry import get_logger, log_event
 
 logger = get_logger("repro.serve.retrain")
@@ -149,15 +147,14 @@ def retrain(
     passes: int = 2,
     seed: int = 0,
     workers: int = 1,
-    shm: str = "auto",
     cache_dir=None,
     dataset_cache_dir=None,
 ) -> str:
     """Train a candidate from ``base`` + feedback; returns its version.
 
-    ``workers``/``shm`` select the :func:`train_ensemble` transport for
-    ``mode="full"`` — bit-identical for every combination; partial mode
-    ignores them (it continues in-process from the base weights).
+    ``workers`` sets the :func:`train_ensemble` pool size for
+    ``mode="full"`` — bit-identical for every count; partial mode ignores
+    it (it continues in-process from the base weights).
     ``data_path`` is either a feedback ``.npz`` or a corpus directory
     (assembled through the decode / dataset cache tiers).
     """
@@ -165,8 +162,6 @@ def retrain(
         raise RetrainFailed(f"unknown retrain mode {mode!r}; expected {RETRAIN_MODES}")
     if passes < 1:
         raise RetrainFailed(f"passes must be >= 1, got {passes}")
-    if shm not in SHM_CHOICES:
-        raise RetrainFailed(f"unknown shm mode {shm!r}; expected {SHM_CHOICES}")
     store = ArtifactStore(artifact_root)
     loaded = store.load(base)
     if Path(data_path).is_dir():
@@ -200,7 +195,6 @@ def retrain(
                 # one shared fit seed, matching the historical in-process loop
                 fit_kwargs={"epochs": max(passes, 5), "seed": seed},
                 workers=workers,
-                shm=shm,
             )
             for model, member in zip(models, trained):
                 model.weights = member.model.weights
@@ -273,12 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="member-fit processes for --mode full (bit-identical for any N)",
     )
-    parser.add_argument(
-        "--train-shm",
-        choices=SHM_CHOICES,
-        default="auto",
-        help="pooled-training transport for --mode full (see repro.pipeline)",
-    )
     return parser
 
 
@@ -293,7 +281,6 @@ def main(argv: list[str] | None = None) -> int:
             passes=args.passes,
             seed=args.seed,
             workers=args.train_workers,
-            shm=args.train_shm,
             cache_dir=args.cache_dir,
             dataset_cache_dir=args.dataset_cache_dir,
         )

@@ -129,7 +129,6 @@ class RequestScorer:
         quarantine: QuarantineManifest | None = None,
         quarantine_path=None,
         decode_timeout_s: float = 10.0,
-        batch_size: int | None = None,
     ):
         self.artifact = artifact
         self.quarantine = quarantine if quarantine is not None else QuarantineManifest(
@@ -137,7 +136,6 @@ class RequestScorer:
         )
         self.quarantine_path = quarantine_path
         self.decode_timeout_s = decode_timeout_s
-        self.batch_size = batch_size
         self._quarantine_lock = threading.Lock()
 
     # -- decode ----------------------------------------------------------
@@ -236,9 +234,7 @@ class RequestScorer:
                     for k, (_, rows, _) in enumerate(live)
                 ]
             )
-            margins, verdicts = self.artifact.score_traces(
-                stacked, groups, len(live), batch_size=self.batch_size
-            )
+            margins, verdicts = self.artifact.score_traces(stacked, groups, len(live))
             sums = np.bincount(groups, weights=margins, minlength=len(live))
             counts = np.bincount(groups, minlength=len(live))
             for k, (i, rows, info) in enumerate(live):

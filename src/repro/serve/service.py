@@ -68,8 +68,6 @@ class ServeConfig:
     max_line_bytes: int = 8 << 20
     #: salvage-decode budget per request payload
     decode_timeout_s: float = 10.0
-    #: rows per scoring chunk (None = model default)
-    batch_size: int | None = None
     #: quarantine manifest for refused payloads (None = in-memory only)
     quarantine_path: str | None = None
     #: hard cap on drain time at shutdown
@@ -105,8 +103,6 @@ class ServeConfig:
     #: member-fit processes inside a full-mode retrain (bit-identical for
     #: any N; partial mode always trains in-process)
     retrain_workers: int = 1
-    #: pooled-retrain transport: "auto" / "on" / "off" (see repro.model.shm)
-    retrain_shm: str = "auto"
     #: labeled traces needed before a retrain is attempted
     retrain_min_traces: int = 8
     #: base / cap of the exponential backoff after a failed retrain or a
@@ -216,7 +212,6 @@ class ScoringService:
             quarantine=previous.quarantine if previous is not None else None,
             quarantine_path=self.config.quarantine_path,
             decode_timeout_s=self.config.decode_timeout_s,
-            batch_size=self.config.batch_size,
         )
 
     def install_signal_handlers(self) -> None:

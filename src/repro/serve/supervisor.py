@@ -276,8 +276,6 @@ class RetrainSupervisor:
             str(self.stats.retrains_started),
             "--train-workers",
             str(self.config.retrain_workers),
-            "--train-shm",
-            self.config.retrain_shm,
         ]
 
     @staticmethod

@@ -93,6 +93,6 @@ def test_bad_inputs_are_typed():
     with pytest.raises(ModelError):
         model.decision(np.ones((3, 5)))  # wrong width
     with pytest.raises(ModelError):
-        model.fit_epoch(np.ones((2, 4)), np.array([0, 2]))  # labels not in {-1,1}
+        model.partial_fit(np.ones((2, 4)), np.array([0, 2]))  # labels not in {-1,1}
     with pytest.raises(ModelError):
         HashedPerceptron(0)

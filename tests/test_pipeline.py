@@ -4,6 +4,9 @@ injection, via the same entry point as ``python -m repro.pipeline``."""
 from __future__ import annotations
 
 import json
+import shutil
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +15,8 @@ from repro.errors import IngestError
 from repro.faults import FaultPlan
 from repro.pipeline import PipelineConfig, run_pipeline, split_traces
 from repro.pipeline.__main__ import main as cli_main
+
+GOLDEN = Path(__file__).resolve().parent / "fixtures" / "golden"
 
 
 def small_config(corpus, out, **overrides) -> PipelineConfig:
@@ -112,6 +117,33 @@ def test_cli_exit_codes(tmp_path, capsys):
     empty.mkdir()
     rc = cli_main(["--trace-dir", str(empty), "--out", str(tmp_path / "run2")])
     assert rc == 2  # typed failure -> nonzero exit, no traceback
+
+
+def test_empty_test_split_reports_null_accuracy(tmp_path, capsys):
+    """One capture per class leaves every class in train and the test split
+    empty: metrics.json must stay strict JSON with null accuracies, and
+    nothing may score the empty split (which warned on 0/0)."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in ("benign_a_0", "benign_b_0", "flush_0", "spectre_0"):
+        shutil.copy(GOLDEN / f"{name}.pkl", corpus)
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = cli_main(
+            ["--trace-dir", str(corpus), "--out", str(out), "--epochs", "4", "--n-models", "2"]
+        )
+    assert rc == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    doc = json.loads((out / "metrics.json").read_text(), parse_constant=reject)
+    assert doc["dataset"]["test_traces"] == 0
+    assert doc["metrics"]["trace_accuracy"] is None
+    assert doc["metrics"]["interval_accuracy"] is None
+    summary = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert summary["trace_accuracy"] is None
 
 
 def test_cli_faults_flag_round_trip(tmp_path):

@@ -1,7 +1,6 @@
-"""Training-kernel equivalence: the optimized blocked kernel must be
-bit-identical to the kept-as-reference naive ``fit_epoch`` across seeds,
-shuffles, and fault-injected corpora; the minibatch mode must obey the
-clamp and update-count contracts even though its training order differs."""
+"""Training-kernel equivalence: the optimized blocked and native kernels
+must be bit-identical to the kept-as-reference naive epoch across seeds,
+shuffles, and fault-injected corpora."""
 
 from __future__ import annotations
 
@@ -70,7 +69,8 @@ def test_fit_epoch_kernels_agree_without_shuffle():
     X, y = blobs(seed=2)
     ref = HashedPerceptron(X.shape[1], theta=5.0, seed=4)
     blk = HashedPerceptron(X.shape[1], theta=5.0, seed=4)
-    assert ref.fit_epoch(X, y, kernel="reference") == blk.fit_epoch(X, y, kernel="blocked")
+    ref_updates = ref.partial_fit(X, y, kernel="reference", shuffle=False)
+    assert blk.partial_fit(X, y, kernel="blocked", shuffle=False) == ref_updates
     np.testing.assert_array_equal(ref.weights, blk.weights)
 
 
@@ -124,43 +124,13 @@ def test_plan_indices_computed_once_per_fit_are_reused():
     np.testing.assert_array_equal(second, flat[order[::-1]])
 
 
-def test_minibatch_respects_clamp_and_counts_updates():
-    X, y = blobs(seed=5)
-    model = HashedPerceptron(X.shape[1], theta=1000.0, weight_clamp=7, seed=5)
-    history = model.fit(X, y, epochs=5, mode="minibatch")
-    assert sum(history) > 0
-    assert model.weights.max() <= 7
-    assert model.weights.min() >= -7
-
-
-def test_minibatch_learns_separable_data():
-    X, y = blobs(gap=4.0, seed=6)
-    model = HashedPerceptron(X.shape[1], theta=5.0, seed=6)
-    model.fit(X, y, epochs=20, mode="minibatch")
-    assert (model.predict(X) == y).mean() >= 0.95
-
-
-def test_minibatch_size_one_equals_online():
-    """A one-sample batch sees no stale decisions, so the minibatch rule
-    degenerates to the online rule exactly."""
-    X, y = blobs(n=60, seed=8)
-    online = HashedPerceptron(X.shape[1], theta=5.0, seed=8)
-    mb = HashedPerceptron(X.shape[1], theta=5.0, seed=8)
-    h_online = online.fit(X, y, epochs=6)
-    h_mb = mb.fit(X, y, epochs=6, mode="minibatch", minibatch_size=1)
-    assert h_online == h_mb
-    np.testing.assert_array_equal(online.weights, mb.weights)
-
-
-def test_unknown_mode_and_kernel_are_typed_errors():
+def test_unknown_kernel_is_a_typed_error():
     X, y = blobs(n=20, seed=0)
     model = HashedPerceptron(X.shape[1], seed=0)
     with pytest.raises(ModelError):
-        model.fit(X, y, mode="sgd")
-    with pytest.raises(ModelError):
         model.fit(X, y, kernel="warp")
     with pytest.raises(ModelError):
-        model.fit_epoch(X, y, kernel="warp")
+        model.partial_fit(X, y, kernel="warp")
 
 
 # -- native C kernel: same bits as the spec, or a typed refusal -------------
@@ -200,6 +170,25 @@ def test_native_hash_and_margins_match_numpy_paths(monkeypatch):
     monkeypatch.setattr(_native, "available", lambda: False)
     np.testing.assert_array_equal(model._flat_indices(X), native_flat)
     np.testing.assert_array_equal(model.decision(X), native_margins)
+
+
+@pytest.mark.skipif(not _native_available(), reason="no C compiler available")
+def test_numpy_fallback_chunked_scoring_matches_one_shot_and_native(monkeypatch):
+    """The numpy scoring path walks the rows in ``DEFAULT_BATCH_SIZE``
+    chunks; shrinking the chunk runs that loop many times over a small
+    matrix, and the margins must not move by a bit."""
+    from repro.model import _native, perceptron
+
+    X, y = blobs(n=50, seed=4)
+    model = HashedPerceptron(X.shape[1], theta=5.0, seed=3)
+    model.fit(X, y, epochs=6)
+    native_margins = model.decision(X)
+    monkeypatch.setattr(_native, "available", lambda: False)
+    one_shot = model.decision(X)
+    monkeypatch.setattr(perceptron, "DEFAULT_BATCH_SIZE", 7)
+    chunked = model.decision(X)
+    np.testing.assert_array_equal(chunked, one_shot)
+    np.testing.assert_array_equal(chunked, native_margins)
 
 
 def test_auto_kernel_resolves_to_a_real_kernel():

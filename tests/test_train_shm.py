@@ -39,7 +39,7 @@ def blobs(n=80, d=16, seed=0):
     return X, y
 
 
-def _ensemble(workers: int, shm: str = "auto"):
+def _ensemble(workers: int):
     X, y = blobs()
     return train_ensemble(
         X,
@@ -49,7 +49,6 @@ def _ensemble(workers: int, shm: str = "auto"):
         model_kwargs={"theta": 5.0},
         fit_kwargs={"epochs": 6},
         workers=workers,
-        shm=shm,
     )
 
 
@@ -114,7 +113,7 @@ def test_close_is_idempotent():
 
 
 def test_no_residue_after_clean_pooled_fit():
-    _ensemble(workers=2, shm="on")
+    _ensemble(workers=2)
     assert not residue()
 
 
@@ -127,7 +126,7 @@ def test_worker_sigkill_degrades_with_warning_and_identical_model(
     # propagate; re-enable propagation so caplog can observe the WARNING
     monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
     with caplog.at_level(logging.WARNING, logger="repro.model.train_pool"):
-        pooled = _ensemble(workers=2, shm="on")
+        pooled = _ensemble(workers=2)
     assert any("train_pool.worker_lost" in r.getMessage() for r in caplog.records)
     for a, b in zip(serial, pooled):
         np.testing.assert_array_equal(a.model.weights, b.model.weights)
@@ -142,24 +141,12 @@ def test_worker_exception_degrades_with_warning_and_identical_model(
     monkeypatch.setenv("REPRO_TRAIN_POOL_RAISE_MEMBER", "2")
     monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
     with caplog.at_level(logging.WARNING, logger="repro.model.train_pool"):
-        pooled = _ensemble(workers=2, shm="on")
+        pooled = _ensemble(workers=2)
     lost = [r for r in caplog.records if "train_pool.worker_lost" in r.getMessage()]
     assert lost and "member=2" in lost[0].getMessage()
     for a, b in zip(serial, pooled):
         np.testing.assert_array_equal(a.model.weights, b.model.weights)
         assert a.history == b.history
-    assert not residue()
-
-
-def test_legacy_broadcast_transport_also_degrades(monkeypatch, caplog):
-    serial = _ensemble(workers=1)
-    monkeypatch.setenv("REPRO_TRAIN_POOL_KILL_MEMBER", "0")
-    monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
-    with caplog.at_level(logging.WARNING, logger="repro.model.train_pool"):
-        pooled = _ensemble(workers=2, shm="off")
-    assert any("train_pool.worker_lost" in r.getMessage() for r in caplog.records)
-    for a, b in zip(serial, pooled):
-        np.testing.assert_array_equal(a.model.weights, b.model.weights)
     assert not residue()
 
 
@@ -174,7 +161,7 @@ X = rng.normal(size=(120, 12))
 y = np.where(rng.random(120) > 0.5, 1, -1).astype(np.int64)
 members = train_ensemble(
     X, y, n_features=12, seeds=[1, 2, 3],
-    fit_kwargs={"epochs": 4}, workers=2, shm="on",
+    fit_kwargs={"epochs": 4}, workers=2,
 )
 assert len(members) == 3
 print("SHM_OK")

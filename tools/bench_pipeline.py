@@ -19,13 +19,10 @@ dataset-cache group (decode cache A warm, assembled-dataset tier varies):
 
 train group (cache A stays warm, training path varies):
 
-7. ``warm_ref_train``       ``--fit-kernel reference`` — the naive
-   per-sample spec; its ``train_s`` is the training baseline
-8. ``warm_train_parallel``  ``--train-workers N --train-shm off`` — pooled
-   member training over the legacy per-worker broadcast transport
-9. ``warm_train_shm``       ``--train-workers N --train-shm on`` — pooled
-   member training attaching to one shared-memory bins matrix
-10. ``warm_minibatch``      ``--fit-mode minibatch`` — batched rule (opt-in)
+7. ``warm_ref_train``  ``--fit-kernel reference`` — the naive per-sample
+   spec; its ``train_s`` is the training baseline
+8. ``warm_train_shm``  ``--train-workers N`` — pooled member training
+   attaching to one shared-memory bins matrix
 
 With ``--stage-corpus gen:COUNT[...]`` the report gains a ``stage_timings``
 section: a deterministic synthetic corpus is generated, run cold (both
@@ -36,10 +33,9 @@ tier, with all three runs required to agree on detection metrics exactly.
 
 — then writes a machine-readable ``BENCH_pipeline.json`` (elapsed and
 per-stage timings, speedup ratios, cache hit counts) so successive PRs have
-a perf trajectory, and cross-checks consistency: every run except
-``warm_minibatch`` must produce *identical* detection metrics (cache,
-parallelism, and the online kernel change wall-clock only), and
-``warm_minibatch`` must stay within the accuracy tolerance of the baseline.
+a perf trajectory, and cross-checks consistency: every run must produce
+*identical* detection metrics (cache, parallelism, and the online kernel
+change wall-clock only).
 
 Usage::
 
@@ -80,12 +76,7 @@ logger = get_logger("repro.tools.bench")
 BENCH_VERSION = 4
 
 #: metrics fields that must be identical across every benchmarked run
-#: (except ``warm_minibatch``, which is held to the accuracy tolerance)
 _STABLE_KEYS = ("ingest", "dataset", "training", "metrics")
-
-#: runs exempt from the exact-match rule: a different training order is
-#: allowed to move trace_accuracy within this absolute tolerance
-_TOLERANT_RUNS = ("warm_minibatch",)
 
 
 def _stable_view(metrics: dict) -> dict:
@@ -113,10 +104,8 @@ def _one_run(
     elapsed = time.monotonic() - t0
     row = {
         "workers": config.workers,
-        "fit_mode": config.fit_mode,
         "fit_kernel": config.fit_kernel,
         "train_workers": config.train_workers,
-        "train_shm": config.train_shm,
         "elapsed_s": round(elapsed, 3),
         "timings": metrics["timings"],
         "cache": metrics["ingest"].get("cache"),
@@ -302,13 +291,6 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="verify metric-consistency rules only; do not write the report",
     )
-    parser.add_argument(
-        "--minibatch-tolerance",
-        type=float,
-        default=0.15,
-        metavar="ABS",
-        help="allowed |trace_accuracy - baseline| for the minibatch run",
-    )
     args = parser.parse_args(argv)
     if args.quick:
         args.epochs = min(args.epochs, 6)
@@ -349,17 +331,7 @@ def main(argv: list[str] | None = None) -> int:
             {"workers": 1, "dataset_cache_dir": str(dcache)},
         ),
         ("warm_ref_train", cache_a, {"workers": 1, "fit_kernel": "reference"}),
-        (
-            "warm_train_parallel",
-            cache_a,
-            {"workers": 1, "train_workers": args.workers, "train_shm": "off"},
-        ),
-        (
-            "warm_train_shm",
-            cache_a,
-            {"workers": 1, "train_workers": args.workers, "train_shm": "on"},
-        ),
-        ("warm_minibatch", cache_a, {"workers": 1, "fit_mode": "minibatch"}),
+        ("warm_train_shm", cache_a, {"workers": 1, "train_workers": args.workers}),
     ]
     runs: dict[str, dict] = {}
     stable: dict[str, dict] = {}
@@ -373,14 +345,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"benchmark failed: [{exc.code}] {exc}", file=sys.stderr)
         return 2
 
-    baseline = stable["cold_serial"]
-    exact_names = [name for name, _, _ in plan if name not in _TOLERANT_RUNS]
-    diverged = [name for name in exact_names if stable[name] != baseline]
-    accuracy_gap = abs(
-        runs["warm_minibatch"]["trace_accuracy"] - runs["cold_serial"]["trace_accuracy"]
-    )
-    tolerant_ok = accuracy_gap <= args.minibatch_tolerance
-    consistent = not diverged and tolerant_ok
+    diverged = [name for name in stable if stable[name] != stable["cold_serial"]]
 
     doc = {
         "version": BENCH_VERSION,
@@ -414,16 +379,8 @@ def main(argv: list[str] | None = None) -> int:
                 runs["warm_ref_train"]["timings"]["train_s"],
                 runs["warm_serial"]["timings"]["train_s"],
             ),
-            "train_minibatch_vs_reference": _ratio(
-                runs["warm_ref_train"]["timings"]["train_s"],
-                runs["warm_minibatch"]["timings"]["train_s"],
-            ),
             "train_shm_vs_serial": _ratio(
                 runs["warm_serial"]["timings"]["train_s"],
-                runs["warm_train_shm"]["timings"]["train_s"],
-            ),
-            "train_shm_vs_broadcast_pool": _ratio(
-                runs["warm_train_parallel"]["timings"]["train_s"],
                 runs["warm_train_shm"]["timings"]["train_s"],
             ),
             "dataset_cache_vs_warm_serial_ingest_featurize": _ratio(
@@ -435,8 +392,7 @@ def main(argv: list[str] | None = None) -> int:
                 runs["warm_dataset_cache"]["elapsed_s"],
             ),
         },
-        "minibatch_accuracy_gap": round(accuracy_gap, 6),
-        "metrics_consistent": consistent,
+        "metrics_consistent": not diverged,
     }
     stage_ok = True
     if args.stage_corpus:
@@ -481,13 +437,6 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"stage metrics DIVERGED from stage_cold in: "
             f"{doc['stage_timings']['diverged']}",
-            file=sys.stderr,
-        )
-        return 1
-    if not tolerant_ok:
-        print(
-            f"minibatch trace_accuracy gap {accuracy_gap:.4f} exceeds "
-            f"tolerance {args.minibatch_tolerance}",
             file=sys.stderr,
         )
         return 1
