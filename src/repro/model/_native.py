@@ -11,9 +11,9 @@ numpy pays a Python-level restart per weight update.
 Compilation is lazy and cached: the first call compiles the embedded source
 with ``cc -O2 -shared -fPIC`` into a content-addressed ``.so`` under
 ``REPRO_NATIVE_DIR`` (default: ``_build/`` next to this file), so every
-later process — including forked pool workers — just ``dlopen``s it.  No
-compiler, a failed compile, or ``REPRO_NATIVE=off`` all degrade to the
-numpy kernels; nothing in the system *requires* the fast path.
+later process just ``dlopen``s it.  No compiler, a failed compile, or
+``REPRO_NATIVE=off`` all degrade to the numpy kernels; nothing in the
+system *requires* the fast path.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,7 @@ void margins_from_bins(const int32_t *w, const uint8_t *bins,
 
 _lib: ctypes.CDLL | None = None
 _load_attempted = False
+_load_lock = threading.Lock()
 
 
 def _cache_dir() -> Path:
@@ -200,12 +202,7 @@ def _bind(so_path: Path) -> ctypes.CDLL:
     return lib
 
 
-def load() -> ctypes.CDLL | None:
-    """The bound library, compiling on first use; None when unavailable."""
-    global _lib, _load_attempted
-    if _lib is not None or _load_attempted:
-        return _lib
-    _load_attempted = True
+def _load_once() -> ctypes.CDLL | None:
     if os.environ.get("REPRO_NATIVE", "").lower() in ("off", "0", "no"):
         return None
     key = hashlib.sha256(
@@ -215,10 +212,24 @@ def load() -> ctypes.CDLL | None:
     try:
         if not so_path.exists() and not _compile(so_path):
             return None
-        _lib = _bind(so_path)
+        return _bind(so_path)
     except OSError as exc:
         log_event(logger, "native.load_failed", error=str(exc)[:200])
-        _lib = None
+        return None
+
+
+def load() -> ctypes.CDLL | None:
+    """The bound library, compiling on first use; None when unavailable.
+
+    The first load runs once, under a lock: a thread that calls in while
+    another compiles waits for that result instead of seeing None."""
+    global _lib, _load_attempted
+    if _load_attempted:
+        return _lib
+    with _load_lock:
+        if not _load_attempted:
+            _lib = _load_once()
+            _load_attempted = True
     return _lib
 
 

@@ -34,8 +34,8 @@ def quantize_bins(X: np.ndarray, n_bins: int) -> np.ndarray:
     This is the only part of index hashing that reads the feature *values*,
     and it is salt-free — every ensemble member with the same ``n_bins``
     shares it.  The trainer and scorer compute it once per matrix and hand
-    the bins to each member; the shared-memory train pool ships this uint8
-    matrix (8x smaller than the float64 features) instead of ``X`` itself.
+    the bins to each member; the trainer's threads all read one such uint8
+    matrix (8x smaller than the float64 features).
     """
     X = np.asarray(X, dtype=np.float64)
     scaled = np.clip(X, -4.0, 4.0)
@@ -61,8 +61,8 @@ class HashedPerceptron:
         if n_features < 1:
             raise ModelError("n_features must be >= 1")
         if not (1 <= int(n_bins) <= 256):
-            # quantized bins pack into uint8 so ensembles and the shm train
-            # pool can share one bins matrix across members
+            # quantized bins pack into uint8 so an ensemble's members, and
+            # the trainer's threads, can share one bins matrix
             raise ModelError(f"n_bins must be in [1, 256], got {n_bins}")
         self.n_features = int(n_features)
         self.n_tables = int(n_tables)
@@ -239,8 +239,8 @@ class HashedPerceptron:
         over a fresh shuffle, bit-identical for every ``kernel``.  ``bins``
         optionally supplies the precomputed (salt-free) :func:`quantize_bins`
         matrix for ``X`` so ensemble trainers quantize once per matrix
-        instead of once per member; the shared-memory pool passes an
-        attached read-only view.
+        instead of once per member; ``bins`` and ``y`` are only read, so
+        members on different threads can share them.
         """
         kernel = resolve_kernel(kernel)
         y = self._check_labels(y)

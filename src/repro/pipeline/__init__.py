@@ -27,6 +27,7 @@ from ..features import Normalizer, assemble_corpus
 from ..ingest.retry import RetryPolicy
 from ..model import (
     ArtifactStore,
+    HashedPerceptron,
     ensemble_margins,
     margin_scales,
     trace_verdicts,
@@ -72,8 +73,8 @@ class PipelineConfig:
     #: online epoch kernel: "auto" (native C when a compiler is available,
     #: else blocked), "native", "blocked", or "reference" — all bit-identical
     fit_kernel: str = "auto"
-    #: ensemble-member training processes; <= 1 trains serially in-process,
-    #: more attach to one shared-memory bins matrix — bit-identical
+    #: ensemble-member training threads; <= 1 trains on the calling thread,
+    #: more share one bins matrix — bit-identical
     train_workers: int = 1
     #: when set, publish a versioned serving artifact (ensemble + normalizer
     #: + pinned margin scales) into this store after training
@@ -269,16 +270,19 @@ def run_pipeline(config: PipelineConfig) -> dict:
         workers=config.train_workers,
     ) as train_span:
         members = train_ensemble(
+            [
+                HashedPerceptron(
+                    dataset.n_features,
+                    n_tables=config.n_tables,
+                    table_bits=config.table_bits,
+                    n_bins=config.n_bins,
+                    theta=config.theta,
+                    seed=config.seed * 1000 + k,
+                )
+                for k in range(n_models)
+            ],
             Xtr,
             ytr,
-            n_features=dataset.n_features,
-            seeds=[config.seed * 1000 + k for k in range(n_models)],
-            model_kwargs={
-                "n_tables": config.n_tables,
-                "table_bits": config.table_bits,
-                "n_bins": config.n_bins,
-                "theta": config.theta,
-            },
             fit_kwargs={"epochs": config.epochs, "kernel": config.fit_kernel},
             workers=config.train_workers,
         )

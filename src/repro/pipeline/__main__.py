@@ -65,9 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--train-workers",
         type=int,
         default=1,
-        help="ensemble-member training processes (1 = serial in-process; "
-        "more attach to one shared-memory quantized matrix); semantics-free "
-        "like --workers",
+        help="ensemble-member training threads (1 = on the calling thread; "
+        "more share one quantized matrix and need the native kernel to run "
+        "faster); semantics-free like --workers",
     )
     parser.add_argument(
         "--faults",

@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--retrain-workers",
         type=int,
         default=defaults.retrain_workers,
-        help="member-fit processes for full-mode retrains (bit-identical for any N)",
+        help="member-fit threads for full-mode retrains (bit-identical for any N)",
     )
     drift.add_argument("--retrain-min-traces", type=int, default=defaults.retrain_min_traces)
     drift.add_argument("--retrain-backoff", type=float, default=defaults.retrain_backoff_s)

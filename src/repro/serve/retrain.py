@@ -15,14 +15,13 @@ nothing else.
 
 ``--mode partial`` runs ``--passes`` incremental :func:`ensemble_partial_fit`
 passes starting from the base weights (the streaming path the bit-identity
-property test pins); ``--mode full`` refits every member from scratch on the
-feedback batch through :func:`~repro.model.train_ensemble` — which means
-full retrains get the same ``--train-workers`` shared-memory pool as the
-batch pipeline.  Member fits are pure functions of ``(seed, data)``, so the
-pooled retrain is bit-identical to the serial one (pinned by the
-serve-drift tests).  Partial mode always trains in-process: it *continues
-from the base weights*, which the from-scratch pool contract does not
-cover, and a few incremental passes are cheap.
+property test pins); ``--mode full`` zeros the loaded members' weights and
+refits them in place on the feedback batch through
+:func:`~repro.model.train_ensemble`, each with its own stored salts and
+config — so full retrains get the same ``--train-workers`` threads as the
+batch pipeline, bit-identical to one thread (pinned by the serve-drift
+tests).  Partial mode always trains on one thread: a few incremental passes
+are cheap.
 
 The feedback ``.npz`` carries ``X`` (stacked interval rows), ``groups``
 (per-row trace id), and ``labels`` (per-trace ±1); per-row labels are the
@@ -53,34 +52,6 @@ from ..telemetry import get_logger, log_event
 logger = get_logger("repro.serve.retrain")
 
 RETRAIN_MODES = ("partial", "full")
-
-
-def _pool_kwargs(models) -> tuple[dict, list[int]] | None:
-    """(model_kwargs, seeds) to rebuild ``models`` from scratch via
-    :func:`train_ensemble`, or None when the ensemble cannot be expressed
-    that way (per-member config drift, or salts that do not derive from the
-    stored seed — possible for hand-edited artifacts).  None sends the full
-    retrain down the in-process loop instead of silently changing models."""
-    first = models[0]
-    kwargs = {
-        "n_tables": first.n_tables,
-        "table_bits": first.table_bits,
-        "n_bins": first.n_bins,
-        "theta": first.theta,
-        "weight_clamp": first.weight_clamp,
-    }
-    for m in models:
-        if (
-            m.n_features != first.n_features
-            or any(getattr(m, k) != v for k, v in kwargs.items())
-        ):
-            return None
-        # the pool reconstructs members from seed alone; that is only valid
-        # when the stored salts are exactly what the seed regenerates
-        fresh = type(m)(m.n_features, seed=m.seed, **kwargs)
-        if not np.array_equal(fresh._salts, m._salts):
-            return None
-    return kwargs, [m.seed for m in models]
 
 
 def load_feedback(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -152,9 +123,9 @@ def retrain(
 ) -> str:
     """Train a candidate from ``base`` + feedback; returns its version.
 
-    ``workers`` sets the :func:`train_ensemble` pool size for
+    ``workers`` sets the :func:`train_ensemble` thread count for
     ``mode="full"`` — bit-identical for every count; partial mode ignores
-    it (it continues in-process from the base weights).
+    it (it continues on one thread from the base weights).
     ``data_path`` is either a feedback ``.npz`` or a corpus directory
     (assembled through the decode / dataset cache tiers).
     """
@@ -183,27 +154,16 @@ def retrain(
 
     models = loaded.models
     if mode == "full":
-        pool = _pool_kwargs(models)
-        if pool is not None:
-            model_kwargs, seeds = pool
-            trained = train_ensemble(
-                Z,
-                y_rows,
-                n_features=loaded.n_features,
-                seeds=seeds,
-                model_kwargs=model_kwargs,
-                # one shared fit seed, matching the historical in-process loop
-                fit_kwargs={"epochs": max(passes, 5), "seed": seed},
-                workers=workers,
-            )
-            for model, member in zip(models, trained):
-                model.weights = member.model.weights
-        else:
-            log_event(logger, "retrain.pool_unavailable", base=base)
-            for model in models:
-                model.weights[:] = 0
-            for model in models:
-                model.fit(Z, y_rows, epochs=max(passes, 5), seed=seed)
+        for model in models:
+            model.weights[:] = 0
+        # one shared fit seed for every member
+        train_ensemble(
+            models,
+            Z,
+            y_rows,
+            fit_kwargs={"epochs": max(passes, 5), "seed": seed},
+            workers=workers,
+        )
     else:
         for p in range(passes):
             ensemble_partial_fit(models, Z, y_rows, seed=seed + 1000 * p)
@@ -265,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--train-workers",
         type=int,
         default=1,
-        help="member-fit processes for --mode full (bit-identical for any N)",
+        help="member-fit threads for --mode full (bit-identical for any N)",
     )
     return parser
 

@@ -100,8 +100,8 @@ class ServeConfig:
     retrain_passes: int = 2
     #: wall-clock budget for one retrain subprocess
     retrain_timeout_s: float = 120.0
-    #: member-fit processes inside a full-mode retrain (bit-identical for
-    #: any N; partial mode always trains in-process)
+    #: member-fit threads inside a full-mode retrain (bit-identical for
+    #: any N; partial mode always trains on one thread)
     retrain_workers: int = 1
     #: labeled traces needed before a retrain is attempted
     retrain_min_traces: int = 8

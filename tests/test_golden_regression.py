@@ -52,11 +52,14 @@ def test_golden_metrics_unchanged_by_cache(tmp_path, expected):
     cache_dir = tmp_path / "cache"
     cold = _actual(tmp_path / "cold", cache_dir=str(cache_dir))
     warm = _actual(tmp_path / "warm", cache_dir=str(cache_dir))
-    for actual in (cold, warm):
+    # a warm pass through the ingest pool loads the same cached decodes
+    warm4 = _actual(tmp_path / "warm4", cache_dir=str(cache_dir), workers=4)
+    for actual in (cold, warm, warm4):
         actual["ingest"].pop("cache")
         assert actual == expected
-    warm_doc = json.loads((tmp_path / "warm" / "metrics.json").read_text())
-    assert warm_doc["ingest"]["cache"] == {"hits": 8, "misses": 0}
+    for run in ("warm", "warm4"):
+        warm_doc = json.loads((tmp_path / run / "metrics.json").read_text())
+        assert warm_doc["ingest"]["cache"] == {"hits": 8, "misses": 0}
 
 
 def test_golden_metrics_unchanged_by_workers(tmp_path, expected):

@@ -465,11 +465,11 @@ class TestRetrain:
         with pytest.raises(RetrainFailed, match="features"):
             retrain(str(root), v1, str(path), mode="partial")
 
-    def _feedback_path(self, tmp_path) -> "Path":
+    def _feedback_path(self, tmp_path, label=lambda i: 1 if i % 2 == 0 else -1) -> "Path":
         items = [
             FeedbackItem(
                 rows=separable_rows(1 if i % 2 == 0 else -1, seed=300 + i),
-                label=1 if i % 2 == 0 else -1,
+                label=label(i),
             )
             for i in range(8)
         ]
@@ -477,11 +477,9 @@ class TestRetrain:
         write_feedback_npz(path, items)
         return path
 
-    def test_full_retrain_shm_pool_is_bit_identical_to_serial(
-        self, drift_root, tmp_path
-    ):
+    def test_full_retrain_thread_count_is_bit_identical(self, drift_root, tmp_path):
         """`--train-workers N` full retrains must publish the byte-identical
-        candidate the serial path publishes."""
+        candidate one thread publishes."""
         root, store, *_ , v1 = drift_root
         path = self._feedback_path(tmp_path)
         serial = retrain(
@@ -496,6 +494,49 @@ class TestRetrain:
             models = store.load(candidate).models
             for got, want in zip(models, base_weights):
                 np.testing.assert_array_equal(got.weights, want)
+
+    def test_full_retrain_refits_each_member_with_its_own_salts(
+        self, drift_root, tmp_path
+    ):
+        """A full retrain zeros every member and refits it with its own salts
+        and config, ``epochs=max(passes, 5)`` and the retrain seed.  The base
+        is hand-edited: member 0 quantizes into 8 bins, not 16, and member 1
+        carries salts its seed does not regenerate; each must still train
+        with its own.  Mislabeled feedback keeps every epoch updating, so the
+        epoch count and the seed both show."""
+        root, store, *_ , v1 = drift_root
+        base = store.load(v1)
+        base.models[0].n_bins = 8
+        base.models[1]._salts = np.random.default_rng(99).integers(
+            0, 2**63, size=N_FEATURES, dtype=np.uint64
+        )
+        edited = store.publish(
+            base.models, base.normalizer, base.scales, set_current=False
+        ).version
+        path = self._feedback_path(tmp_path, label=lambda i: -1 if i % 3 == 0 else 1)
+        candidate = retrain(
+            str(root), edited, str(path), mode="full", passes=1, seed=5, workers=2
+        )
+        X, groups, labels = load_feedback(path)
+        Z = base.normalizer.transform(X)
+
+        def fresh_fit(m, salts):
+            fresh = HashedPerceptron(
+                m.n_features, seed=m.seed, n_tables=m.n_tables,
+                table_bits=m.table_bits, n_bins=m.n_bins, theta=m.theta,
+                weight_clamp=m.weight_clamp,
+            )
+            if salts is not None:
+                fresh._salts = salts
+            fresh.fit(Z, labels[groups], epochs=5, seed=5)
+            return fresh.weights
+
+        members = zip(store.load(edited).models, store.load(candidate).models)
+        for k, (m, got) in enumerate(members):
+            np.testing.assert_array_equal(got._salts, m._salts)
+            np.testing.assert_array_equal(got.weights, fresh_fit(m, m._salts))
+            if k == 1:  # its own salts, not the ones its seed regenerates
+                assert not np.array_equal(got.weights, fresh_fit(m, None))
 
     def test_full_retrain_subprocess_cli_matches_in_process(
         self, drift_root, tmp_path

@@ -4,6 +4,7 @@ shuffles, and fault-injected corpora."""
 
 from __future__ import annotations
 
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +154,39 @@ def test_native_kernel_matches_reference_bitwise(seed):
     assert ref_h == nat_h, "update histories diverged"
     np.testing.assert_array_equal(ref.weights, nat.weights)
     np.testing.assert_array_equal(ref.decision(X), nat.decision(X))
+
+
+def _has_compiler() -> bool:
+    from repro.model import _native
+
+    return _native._compiler() is not None
+
+
+@pytest.mark.skipif(not _has_compiler(), reason="no C compiler available")
+def test_concurrent_first_native_load_waits_for_the_compile(tmp_path, monkeypatch):
+    """Two threads racing the first load on an empty build dir must both get
+    the library; neither may fall back to numpy while the other compiles."""
+    from repro.model import _native
+
+    monkeypatch.setenv("REPRO_NATIVE_DIR", str(tmp_path))
+    monkeypatch.delenv("REPRO_NATIVE", raising=False)
+    monkeypatch.setattr(_native, "_lib", None)
+    monkeypatch.setattr(_native, "_load_attempted", False)
+    barrier = threading.Barrier(2)
+    seen = []
+
+    def first_call():
+        barrier.wait(timeout=60)
+        seen.append(_native.available())
+
+    threads = [threading.Thread(target=first_call) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=180)
+        assert not t.is_alive()
+    assert seen == [True, True]
+    assert len(list(tmp_path.glob("kernel_*.so"))) == 1
 
 
 @pytest.mark.skipif(not _native_available(), reason="no C compiler available")

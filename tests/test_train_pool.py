@@ -1,16 +1,19 @@
 """Parallel ensemble training: ``--train-workers N`` must be semantics-free
-(identical models, histories, and metrics for any worker count)."""
+(identical models, histories, and metrics for any thread count)."""
 
 from __future__ import annotations
 
 import json
+import logging
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.errors import ModelError
 from repro.faults import FaultPlan
-from repro.model import HashedPerceptron, train_ensemble
+from repro.model import HashedPerceptron, _native, train_ensemble
 from repro.pipeline import PipelineConfig, run_pipeline
 
 GOLDEN = Path(__file__).resolve().parent / "fixtures" / "golden"
@@ -25,17 +28,13 @@ def blobs(n=80, d=16, seed=0):
     return X, y
 
 
+def _models(n_features: int) -> list[HashedPerceptron]:
+    return [HashedPerceptron(n_features, theta=5.0, seed=s) for s in (7000, 7001, 7002)]
+
+
 def _ensemble(workers: int):
     X, y = blobs()
-    return train_ensemble(
-        X,
-        y,
-        n_features=X.shape[1],
-        seeds=[7000, 7001, 7002],
-        model_kwargs={"theta": 5.0},
-        fit_kwargs={"epochs": 6},
-        workers=workers,
-    )
+    return train_ensemble(_models(X.shape[1]), X, y, fit_kwargs={"epochs": 6}, workers=workers)
 
 
 def test_worker_count_is_semantics_free_for_training():
@@ -49,10 +48,55 @@ def test_worker_count_is_semantics_free_for_training():
         np.testing.assert_array_equal(a.model._salts, b.model._salts)
 
 
+def test_threads_over_numpy_fallback_match_serial(monkeypatch):
+    """Without the native kernel every member hashes and trains on the numpy
+    paths, which hold the GIL; threads must still leave the same bits, also
+    when the interpreter switches threads far more often than usual."""
+    monkeypatch.setattr(_native, "available", lambda: False)
+    serial = _ensemble(workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = [_ensemble(workers=workers) for workers in (2, 4)]
+    finally:
+        sys.setswitchinterval(interval)
+    for members in threaded:
+        for a, b in zip(serial, members):
+            assert a.history == b.history
+            np.testing.assert_array_equal(a.model.weights, b.model.weights)
+
+
 def test_members_return_in_seed_order():
-    members = _ensemble(workers=2)
+    X, y = blobs()
+    models = _models(X.shape[1])
+    members = train_ensemble(models, X, y, fit_kwargs={"epochs": 6}, workers=2)
+    assert [m.model for m in members] == models  # fitted in place, in order
     assert [m.model.seed for m in members] == [7000, 7001, 7002]
     assert all(m.train_s >= 0.0 for m in members)
+
+
+def test_member_fit_error_propagates_without_refit(monkeypatch, caplog):
+    """A member that raises inside ``fit`` fails the whole call: no member is
+    fitted twice (members not yet started are cancelled), and nothing is
+    retried or logged as a warning."""
+    X, y = blobs()
+    y[3] = 0  # not a +/-1 label: every member's fit raises ModelError
+    calls = []
+    fit = HashedPerceptron.fit
+
+    def counting_fit(self, *args, **kwargs):
+        calls.append(self.seed)
+        return fit(self, *args, **kwargs)
+
+    monkeypatch.setattr(HashedPerceptron, "fit", counting_fit)
+    # the repro telemetry root owns its own stderr handler and does not
+    # propagate; re-enable propagation so caplog sees every record
+    monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+    with caplog.at_level(logging.WARNING, logger="repro"):
+        with pytest.raises(ModelError, match="labels must be"):
+            train_ensemble(_models(X.shape[1]), X, y, fit_kwargs={"epochs": 6}, workers=2)
+    assert calls and len(calls) == len(set(calls))
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
 def test_pooled_members_match_direct_fit():
@@ -121,30 +165,31 @@ def test_pipeline_fit_kernel_is_semantics_free(tmp_path, kernel):
     assert variant == base
 
 
-# -- shared-memory pool: byte-identical to serial at 2 and 4 workers ---------
+# -- threads: byte-identical to serial at 2 and 4 workers ------------------
 
 
 def _quarter_faults() -> FaultPlan:
-    """The 25% payload-corruption plan the pool bit-identity matrix runs on."""
+    """The 25% payload-corruption plan the thread bit-identity matrix runs on."""
     return FaultPlan(corrupt_rate=0.25, seed=7)
 
 
-@pytest.mark.parametrize("workers", [2, 4])
-def test_shm_pool_matches_serial_blocked_on_golden(tmp_path, workers):
-    serial = _run(tmp_path / "serial", train_workers=1, fit_kernel="blocked")
-    shm = _run(tmp_path / f"shm{workers}", train_workers=workers, fit_kernel="blocked")
-    assert shm == serial
+def _member_bytes(run_dir: Path) -> list[bytes]:
+    """Each saved member's weights and salts (the npz zip stamps mtimes)."""
+    models = [HashedPerceptron.load(p) for p in sorted((run_dir / "models").glob("*.npz"))]
+    return [m.weights.tobytes() + m._salts.tobytes() for m in models]
 
 
 @pytest.mark.parametrize("workers", [2, 4])
-def test_shm_pool_matches_serial_blocked_under_faults(tmp_path, workers):
-    serial = _run(
-        tmp_path / "serial", train_workers=1, fit_kernel="blocked", faults=_quarter_faults()
-    )
-    shm = _run(
-        tmp_path / f"shm{workers}",
-        train_workers=workers,
-        fit_kernel="blocked",
-        faults=_quarter_faults(),
-    )
-    assert shm == serial
+def test_threads_match_serial_on_golden(tmp_path, workers):
+    serial = _run(tmp_path / "serial", train_workers=1)
+    threaded = _run(tmp_path / f"t{workers}", train_workers=workers)
+    assert threaded == serial
+    assert _member_bytes(tmp_path / f"t{workers}") == _member_bytes(tmp_path / "serial")
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_threads_match_serial_under_faults(tmp_path, workers):
+    serial = _run(tmp_path / "serial", train_workers=1, faults=_quarter_faults())
+    threaded = _run(tmp_path / f"t{workers}", train_workers=workers, faults=_quarter_faults())
+    assert threaded == serial
+    assert _member_bytes(tmp_path / f"t{workers}") == _member_bytes(tmp_path / "serial")

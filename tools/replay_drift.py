@@ -48,7 +48,7 @@ import numpy as np  # noqa: E402
 from repro.errors import ReproError  # noqa: E402
 from repro.features import Normalizer, build_dataset  # noqa: E402
 from repro.gen.shift import load_schedule  # noqa: E402
-from repro.model import ArtifactStore, margin_scales, train_ensemble  # noqa: E402
+from repro.model import ArtifactStore, HashedPerceptron, margin_scales, train_ensemble  # noqa: E402
 from repro.telemetry import get_logger, log_event  # noqa: E402
 
 logger = get_logger("repro.tools.replay_drift")
@@ -68,15 +68,11 @@ def pretrain_artifact(schedule, args, artifact_root: Path) -> str:
     dataset = build_dataset(traces)
     normalizer = Normalizer().fit(dataset.X)
     Z = normalizer.transform(dataset.X)
-    members = train_ensemble(
-        Z,
-        dataset.y,
-        n_features=dataset.n_features,
-        seeds=[args.train_seed * 1000 + k for k in range(args.members)],
-        model_kwargs={"theta": 5.0},
-        fit_kwargs={"epochs": args.epochs},
-    )
-    models = [m.model for m in members]
+    models = [
+        HashedPerceptron(dataset.n_features, theta=5.0, seed=args.train_seed * 1000 + k)
+        for k in range(args.members)
+    ]
+    train_ensemble(models, Z, dataset.y, fit_kwargs={"epochs": args.epochs})
     published = ArtifactStore(artifact_root).publish(
         models,
         normalizer,
