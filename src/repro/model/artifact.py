@@ -95,16 +95,18 @@ class LoadedArtifact:
         """Per-sample ensemble margins with the artifact's pinned scales —
         independent of how rows are batched."""
         Z = self.normalizer.transform(np.asarray(X, dtype=np.float64))
-        return ensemble_margins(self.models, Z, scales=self.scales)
+        return ensemble_margins(self.models, Z, self.scales)
 
     def score_traces(
         self, X: np.ndarray, groups: np.ndarray, n_traces: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(margins, per-trace verdicts) for a stacked sample matrix.  The
-        serving daemon and the batch evaluator both go through here, which is
-        what makes their verdicts bit-identical."""
+        """(row margins, per-trace verdicts) for a stacked sample matrix.
+
+        Pipeline eval scores with the same pinned scales it publishes here
+        and reduces through the same :func:`trace_verdicts`, so a trace's
+        verdict and mean margin from the daemon equal metrics.json's."""
         margins = self.score_rows(X)
-        return margins, trace_verdicts(margins, groups, n_traces)
+        return margins, trace_verdicts(margins, groups, n_traces)[1]
 
 
 @dataclass

@@ -359,30 +359,26 @@ class HashedPerceptron:
 # ---------------------------------------------------------------------------
 
 
-def ensemble_margins(models, X: np.ndarray, *, scales=None) -> np.ndarray:
-    """Per-sample margin averaged over ensemble members, each normalized by
-    its own mean magnitude so no member dominates.
+def ensemble_margins(models, X: np.ndarray, scales) -> np.ndarray:
+    """Per-sample margin averaged over ensemble members, each divided by its
+    pinned scale so no member dominates.
 
-    By default the normalizing magnitude is the mean ``|margin|`` of the
-    batch being scored, which makes the result depend on *what else* is in
-    the batch.  Pass ``scales`` (one positive float per member, e.g. the
-    mean training-set magnitude recorded in a model artifact) to pin the
-    normalization: per-sample margins are then independent of batching, so
-    a serving path that coalesces arbitrary requests into micro-batches is
-    bit-identical to scoring the whole corpus at once.
+    ``scales`` holds one float per member: its mean training-set ``|margin|``
+    from :func:`margin_scales`, the constants a model artifact records.
+    Every sample's margin depends only on its own row, so the pipeline's
+    all-rows eval pass, a daemon micro-batch and a single request all give
+    the same bits for the same row.
     """
     if not models:
         raise ModelError("ensemble is empty")
-    if scales is not None and len(scales) != len(models):
+    if len(scales) != len(models):
         raise ModelError(
             f"got {len(scales)} margin scales for {len(models)} ensemble members"
         )
     bins = _shared_quantize(models, X)
     total = np.zeros(np.asarray(X).shape[0], dtype=np.float64)
-    for k, model in enumerate(models):
-        d = model.decision(X, bins=bins)
-        scale = float(scales[k]) if scales is not None else np.abs(d).mean()
-        total += d / (scale + 1e-9)
+    for model, scale in zip(models, scales):
+        total += model.decision(X, bins=bins) / (float(scale) + 1e-9)
     return total / len(models)
 
 
@@ -442,9 +438,14 @@ def margin_scales(models, X: np.ndarray) -> list[float]:
     ]
 
 
-def trace_verdicts(margins: np.ndarray, groups: np.ndarray, n_traces: int) -> np.ndarray:
-    """Mean per-interval margin per trace -> +1/-1 verdict (0 for traces with
-    no samples).  One ``bincount`` pass instead of a per-trace mask loop."""
+def trace_verdicts(
+    margins: np.ndarray, groups: np.ndarray, n_traces: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(trace_margins, verdicts)``: the mean per-interval margin of each
+    trace and its +1/-1 verdict (margin 0 and verdict 0 for traces with no
+    samples).  One ``bincount`` pass instead of a per-trace mask loop; this
+    is the only per-trace reduction, shared by pipeline eval and the daemon.
+    """
     margins = np.asarray(margins, dtype=np.float64)
     groups = np.asarray(groups, dtype=np.int64)
     if margins.shape != groups.shape:
@@ -455,8 +456,10 @@ def trace_verdicts(margins: np.ndarray, groups: np.ndarray, n_traces: int) -> np
         raise ModelError("groups index outside [0, n_traces)")
     sums = np.bincount(groups, weights=margins, minlength=n_traces)
     counts = np.bincount(groups, minlength=n_traces)
-    verdicts = np.zeros(n_traces, dtype=np.int64)
     seen = counts > 0
+    trace_margins = np.zeros(n_traces, dtype=np.float64)
+    verdicts = np.zeros(n_traces, dtype=np.int64)
     with np.errstate(invalid="ignore"):
-        verdicts[seen] = np.where(sums[seen] / counts[seen] > 0, 1, -1)
-    return verdicts
+        np.divide(sums, counts, out=trace_margins, where=seen)
+        verdicts[seen] = np.where(trace_margins[seen] > 0, 1, -1)
+    return trace_margins, verdicts

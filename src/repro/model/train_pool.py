@@ -46,19 +46,21 @@ def train_ensemble(
     X: np.ndarray,
     y: np.ndarray,
     *,
-    fit_kwargs: dict | None = None,
+    epochs: int = 20,
+    seed: int | None = None,
     workers: int = 1,
 ) -> list[TrainedMember]:
-    """Fit every member of ``models`` in place on ``(X, y)``; records are
-    returned in ``models`` order.
+    """Fit every member of ``models`` in place on ``(X, y)`` for up to
+    ``epochs`` epochs; records are returned in ``models`` order.
 
-    ``fit_kwargs`` feeds :meth:`HashedPerceptron.fit`; each member starts
-    from its current weights, so callers pass freshly built (or zeroed)
-    members to train from scratch.  ``workers <= 1`` fits on the calling
-    thread; more workers fit members on that many threads.  Both are
-    bit-identical.
+    Each member starts from its current weights, so callers pass freshly
+    built (or zeroed) members to train from scratch.  With ``seed=None``
+    every member shuffles with its own model seed; a given ``seed`` fits
+    member ``k`` with ``seed + 17 * k`` (the :func:`ensemble_partial_fit`
+    rule), so members keep distinct visit orders.  ``workers <= 1`` fits on
+    the calling thread; more workers fit members on that many threads.
+    Both are bit-identical.
     """
-    fit_kwargs = dict(fit_kwargs or {})
     t_start = time.monotonic()
     n_workers = max(1, min(workers, len(models)))
     log_event(logger, "train_pool.start", workers=n_workers, members=len(models))
@@ -67,16 +69,23 @@ def train_ensemble(
     # that shares a bin count (all of them, unless an artifact was edited)
     bins = {n: quantize_bins(X, n) for n in sorted({m.n_bins for m in models})}
 
-    def fit_one(model: HashedPerceptron) -> TrainedMember:
+    def fit_one(k: int) -> TrainedMember:
+        model = models[k]
         t0 = time.monotonic()
-        history = model.fit(None, y, bins=bins[model.n_bins], **fit_kwargs)
+        history = model.fit(
+            None,
+            y,
+            epochs=epochs,
+            seed=None if seed is None else seed + 17 * k,
+            bins=bins[model.n_bins],
+        )
         return TrainedMember(model=model, history=history, train_s=time.monotonic() - t0)
 
     if n_workers <= 1:
-        members = [fit_one(model) for model in models]
+        members = [fit_one(k) for k in range(len(models))]
     else:
         with ThreadPoolExecutor(max_workers=n_workers) as executor:
-            members = list(executor.map(fit_one, models))
+            members = list(executor.map(fit_one, range(len(models))))
     for k, member in enumerate(members):
         log_event(
             logger,

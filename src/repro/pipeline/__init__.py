@@ -37,7 +37,7 @@ from ..telemetry import get_logger, log_event, span
 
 logger = get_logger("repro.pipeline")
 
-METRICS_VERSION = 5
+METRICS_VERSION = 6
 
 
 @dataclass
@@ -70,9 +70,6 @@ class PipelineConfig:
     dataset_cache_dir: str | None = None
     #: retry policy for transient read failures (None = defaults)
     retry_policy: RetryPolicy | None = None
-    #: online epoch kernel: "auto" (native C when a compiler is available,
-    #: else blocked), "native", "blocked", or "reference" — all bit-identical
-    fit_kernel: str = "auto"
     #: ensemble-member training threads; <= 1 trains on the calling thread,
     #: more share one bins matrix — bit-identical
     train_workers: int = 1
@@ -255,19 +252,12 @@ def run_pipeline(config: PipelineConfig) -> dict:
     t_features = time.monotonic()
 
     # ---- model ----------------------------------------------------------
-    # carving the train/test copies out of the normalized matrix is training
-    # prep, not featurization — it lands in train_s
+    # carving the train copy out of the normalized matrix is training prep,
+    # not featurization — it lands in train_s
     Xtr = X_all[train_mask]
-    Xte = X_all[test_mask]
-    ytr = dataset.y[train_mask]
-    yte = dataset.y[test_mask]
     n_models = max(1, config.n_models)
     with span(
-        logger,
-        "pipeline.train",
-        members=n_models,
-        kernel=config.fit_kernel,
-        workers=config.train_workers,
+        logger, "pipeline.train", members=n_models, workers=config.train_workers
     ) as train_span:
         members = train_ensemble(
             [
@@ -282,8 +272,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
                 for k in range(n_models)
             ],
             Xtr,
-            ytr,
-            fit_kwargs={"epochs": config.epochs, "kernel": config.fit_kernel},
+            dataset.y[train_mask],
+            epochs=config.epochs,
             workers=config.train_workers,
         )
         for k, member in enumerate(members):
@@ -291,12 +281,15 @@ def run_pipeline(config: PipelineConfig) -> dict:
         train_span["epochs"] = [len(m.history) for m in members]
     models = [m.model for m in members]
     histories = [m.history for m in members]
+    # the one normalization of every member's margin: eval scores with these
+    # scales and the artifact pins them, so the daemon serves what eval scored
+    scales = margin_scales(models, Xtr)
+    del Xtr
     t_train = time.monotonic()
 
     # ---- artifact publish -----------------------------------------------
     artifact_doc = None
     if config.artifact_root is not None:
-        scales = margin_scales(models, Xtr)
         published = ArtifactStore(config.artifact_root).publish(
             models,
             normalizer,
@@ -318,45 +311,28 @@ def run_pipeline(config: PipelineConfig) -> dict:
         }
 
     # ---- eval -----------------------------------------------------------
-    # an empty test split has no accuracy: report null rather than scoring
-    # zero rows (whose mean-|margin| normalization is 0/0)
+    # one scoring pass over every row, with the pinned scales: interval
+    # accuracy reads its test rows, verdicts and per-family stats its traces
+    margins = ensemble_margins(models, X_all, scales)
+    # an empty test split has no accuracy: report null, not a mean over nothing
     interval_acc = None
-    if len(yte):
-        margins_test = ensemble_margins(models, Xte)
-        interval_acc = float((np.where(margins_test > 0, 1, -1) == yte).mean())
-    margins_all = ensemble_margins(models, X_all)
-    verdicts = trace_verdicts(margins_all, dataset.groups, len(dataset.traces))
-    truth = dataset.trace_labels()
-    margin_sums = np.bincount(dataset.groups, weights=margins_all, minlength=len(dataset.traces))
-    margin_counts = np.bincount(dataset.groups, minlength=len(dataset.traces))
-    trace_margins = np.divide(
-        margin_sums, margin_counts, out=np.zeros_like(margin_sums), where=margin_counts > 0
+    if test_mask.any():
+        interval_acc = float(
+            (np.where(margins[test_mask] > 0, 1, -1) == dataset.y[test_mask]).mean()
+        )
+    trace_margins, verdicts = trace_verdicts(margins, dataset.groups, len(dataset.traces))
+    per_family = per_family_metrics(
+        dataset.traces, test_idx, verdicts, dataset.trace_labels(), trace_margins
     )
-    per_family = per_family_metrics(dataset.traces, test_idx, verdicts, truth, trace_margins)
-
-    test_set = set(test_idx.tolist())
-    per_class: dict[str, dict] = {}
-    n_correct = n_eval = 0
-    benign_total = benign_fp = 0
-    for t in sorted(test_set):
-        trace = dataset.traces[t]
-        key = _class_key(trace)
-        cell = per_class.setdefault(key, {"total": 0, "correct": 0})
-        cell["total"] += 1
-        correct = verdicts[t] == truth[t]
-        cell["correct"] += int(correct)
-        n_eval += 1
-        n_correct += int(correct)
-        if not trace.is_attack:
-            benign_total += 1
-            benign_fp += int(verdicts[t] == 1)
+    # every kept trace has rows, so its verdict is +-1 and a benign trace
+    # that is not correct is a false positive
+    n_eval = sum(f["tested"] for f in per_family.values())
+    n_correct = sum(f["correct"] for f in per_family.values())
+    benign = [f for f in per_family.values() if f["kind"] == "benign"]
+    benign_total = sum(f["tested"] for f in benign)
+    benign_fp = benign_total - sum(f["correct"] for f in benign)
     t_eval = time.monotonic()
 
-    attack_recall = {
-        key: cell["correct"] / cell["total"]
-        for key, cell in sorted(per_class.items())
-        if not key.startswith("benign:")
-    }
     ingest_doc = dict(assembly.ingest)
     if config.cache_dir is not None and assembly.decode_cache_hits is not None:
         hits = assembly.decode_cache_hits
@@ -387,7 +363,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
             "n_bins": config.n_bins,
             "theta": config.theta,
             "n_models": config.n_models,
-            "fit_kernel": config.fit_kernel,
             "train_workers": config.train_workers,
             "dataset_cache_dir": config.dataset_cache_dir,
             "faults": vars(config.faults) if config.faults else None,
@@ -411,8 +386,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
             "interval_accuracy": interval_acc,
             "trace_accuracy": (n_correct / n_eval) if n_eval else None,
             "benign_false_positive_rate": (benign_fp / benign_total) if benign_total else 0.0,
-            "attack_recall": attack_recall,
-            "per_class": per_class,
             "families": len(per_family),
             "per_family": per_family,
         },

@@ -53,15 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
         "decode and assembly entirely (key sweep + one mmap load)",
     )
     parser.add_argument(
-        "--fit-kernel",
-        choices=("auto", "native", "blocked", "reference"),
-        default="auto",
-        help="online epoch kernel; all are bit-identical — auto picks the "
-        "compiled native kernel when a C compiler is available and falls "
-        "back to blocked, reference is the naive per-sample spec kept for "
-        "regression triage",
-    )
-    parser.add_argument(
         "--train-workers",
         type=int,
         default=1,
@@ -119,7 +110,6 @@ def main(argv: list[str] | None = None) -> int:
         workers=args.workers,
         cache_dir=args.cache_dir,
         dataset_cache_dir=args.dataset_cache_dir,
-        fit_kernel=args.fit_kernel,
         train_workers=args.train_workers,
         artifact_root=args.artifact_root,
     )

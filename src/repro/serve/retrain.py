@@ -18,7 +18,8 @@ passes starting from the base weights (the streaming path the bit-identity
 property test pins); ``--mode full`` zeros the loaded members' weights and
 refits them in place on the feedback batch through
 :func:`~repro.model.train_ensemble`, each with its own stored salts and
-config — so full retrains get the same ``--train-workers`` threads as the
+config and its own shuffle seed (``--seed + 17 * k`` for member ``k``) — so
+full retrains get the same ``--train-workers`` threads as the
 batch pipeline, bit-identical to one thread (pinned by the serve-drift
 tests).  Partial mode always trains on one thread: a few incremental passes
 are cheap.
@@ -156,14 +157,9 @@ def retrain(
     if mode == "full":
         for model in models:
             model.weights[:] = 0
-        # one shared fit seed for every member
-        train_ensemble(
-            models,
-            Z,
-            y_rows,
-            fit_kwargs={"epochs": max(passes, 5), "seed": seed},
-            workers=workers,
-        )
+        # member k shuffles with seed + 17 * k, so the refit members keep
+        # distinct visit orders and the ensemble does not collapse
+        train_ensemble(models, Z, y_rows, epochs=max(passes, 5), seed=seed, workers=workers)
     else:
         for p in range(passes):
             ensemble_partial_fit(models, Z, y_rows, seed=seed + 1000 * p)

@@ -38,7 +38,7 @@ import numpy as np
 
 from ..errors import BadRequest, ReproError, TraceDecodeError
 from ..ingest.quarantine import QuarantineManifest
-from ..model.artifact import LoadedArtifact
+from ..model import LoadedArtifact, trace_verdicts
 from ..sim.trace import decode_trace
 from ..telemetry import get_logger, log_event
 
@@ -205,8 +205,10 @@ class RequestScorer:
 
         Failed requests get structured error documents; the survivors are
         stacked into one matrix and scored in a single
-        ``ensemble_margins``/``trace_verdicts`` pass with the artifact's
-        pinned margin scales, so coalescing never changes any verdict.
+        :meth:`LoadedArtifact.score_traces` pass with the artifact's pinned
+        margin scales, so coalescing never changes any verdict.  Each
+        answer's ``margin`` is the trace mean from :func:`trace_verdicts`,
+        the reduction pipeline eval writes to metrics.json.
         """
         responses: list[dict | None] = [None] * len(batch)
         live: list[tuple[int, np.ndarray, dict]] = []
@@ -235,8 +237,7 @@ class RequestScorer:
                 ]
             )
             margins, verdicts = self.artifact.score_traces(stacked, groups, len(live))
-            sums = np.bincount(groups, weights=margins, minlength=len(live))
-            counts = np.bincount(groups, minlength=len(live))
+            trace_margins, _ = trace_verdicts(margins, groups, len(live))
             for k, (i, rows, info) in enumerate(live):
                 req = batch[i]
                 responses[i] = {
@@ -244,7 +245,7 @@ class RequestScorer:
                     "ok": True,
                     "status": 200,
                     "verdict": int(verdicts[k]),
-                    "margin": float(sums[k] / counts[k]),
+                    "margin": float(trace_margins[k]),
                     "n_intervals": int(rows.shape[0]),
                     "artifact": self.artifact.version,
                     **info,

@@ -46,7 +46,7 @@ class TestPublishLoad:
         # score_rows applies the persisted normalizer, so feed raw X space
         rng = np.random.default_rng(9)
         X = rng.normal(size=(20, N_FEATURES))
-        direct = ensemble_margins(models, norm.transform(X), scales=scales)
+        direct = ensemble_margins(models, norm.transform(X), scales)
         assert np.array_equal(loaded.score_rows(X), direct)
 
     def test_current_pointer_and_versions(self, tmp_path, fitted):
@@ -245,20 +245,14 @@ class TestHardenedModelLoad:
 class TestPinnedScales:
     def test_scaled_margins_are_batch_independent(self, fitted):
         models, norm, scales, Z = fitted
-        whole = ensemble_margins(models, Z, scales=scales)
+        whole = ensemble_margins(models, Z, scales)
         # scoring any sub-batch alone must reproduce the same per-sample
         # margins bit for bit — the property serving-side coalescing needs
         for start, stop in ((0, 7), (7, 33), (33, 60)):
-            part = ensemble_margins(models, Z[start:stop], scales=scales)
+            part = ensemble_margins(models, Z[start:stop], scales)
             assert np.array_equal(part, whole[start:stop])
-
-    def test_default_margins_are_batch_dependent(self, fitted):
-        models, _, _, Z = fitted
-        whole = ensemble_margins(models, Z)
-        part = ensemble_margins(models, Z[:7])
-        assert not np.array_equal(part, whole[:7])
 
     def test_scales_length_checked(self, fitted):
         models, _, scales, Z = fitted
         with pytest.raises(ModelError, match="margin scales"):
-            ensemble_margins(models, Z, scales=scales[:-1])
+            ensemble_margins(models, Z, scales[:-1])

@@ -51,7 +51,7 @@ def test_clean_run_end_to_end(tmp_path):
     # two cleanly-separated blobs: the detector must nail the held-out traces
     assert doc["metrics"]["trace_accuracy"] == 1.0
     assert doc["metrics"]["benign_false_positive_rate"] == 0.0
-    assert doc["metrics"]["attack_recall"]["synthetic_attack"] == 1.0
+    assert doc["metrics"]["per_family"]["synthetic_attack"]["accuracy"] == 1.0
 
 
 def test_faulty_run_completes_and_quarantines(tmp_path):

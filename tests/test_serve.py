@@ -18,8 +18,10 @@ import pytest
 
 from conftest import make_trace
 from repro.features import Normalizer, build_dataset
+from repro.ingest import TraceLoader
 from repro.model import ArtifactStore, HashedPerceptron, margin_scales
-from repro.pipeline import PipelineConfig, run_pipeline
+from repro.pipeline import PipelineConfig, _family_key, _margin_stats, run_pipeline, split_traces
+from repro.pipeline.__main__ import main as pipeline_main
 from repro.serve import ScoringService, ServeConfig
 from repro.sim.trace import decode_trace, encode_trace
 
@@ -511,3 +513,66 @@ class TestGoldenParity:
             served = by_id[path.name]
             assert served["verdict"] == int(verdicts[t]), path.name
             assert served["margin"] == float(batch_margin[t]), path.name
+
+
+# ---------------------------------------------------------------------------
+# metrics parity: metrics.json reports exactly what the daemon serves
+# ---------------------------------------------------------------------------
+
+
+class TestMetricsParity:
+    def test_served_verdicts_and_margins_reproduce_metrics_json(self, tmp_path):
+        """Publish golden_synth with ``save-artifact``, send every held-out
+        trace's file bytes to the daemon, and rebuild metrics.json's quality
+        numbers from the answers alone: trace accuracy, benign FPR and each
+        family's margin distribution must come out bit for bit."""
+        corpus = Path(__file__).resolve().parent / "fixtures" / "golden_synth" / "corpus"
+        if not sorted(corpus.rglob("*.pkl")):
+            pytest.skip("golden synthetic fixtures not generated in this checkout")
+        out, root = tmp_path / "train", tmp_path / "artifact"
+        flags = [f"--{key.replace('_', '-')}={value}" for key, value in GOLDEN_CONFIG.items()]
+        argv = ["save-artifact", "--trace-dir", str(corpus), "--out", str(out)]
+        assert pipeline_main([*argv, "--artifact-root", str(root), *flags]) == 0
+        metrics = json.loads((out / "metrics.json").read_text())["metrics"]
+
+        # the pipeline's own load order and split name the held-out files
+        results, _ = TraceLoader(corpus, pattern="**/*.pkl").load_corpus()
+        dataset = build_dataset([r.trace for r in results])
+        _, test_idx = split_traces(
+            dataset.traces, GOLDEN_CONFIG["test_frac"], GOLDEN_CONFIG["seed"]
+        )
+        paths = [Path(results[dataset.source_indices[t]].path) for t in test_idx]
+
+        async def scenario():
+            service = ScoringService(serve_config(root, max_batch=4))
+            await service.start()
+            try:
+                docs = [
+                    {"id": str(t), "payload_b64": base64.b64encode(p.read_bytes()).decode()}
+                    for t, p in zip(test_idx, paths)
+                ]
+                return await asyncio.gather(*(rpc(service.port, d) for d in docs))
+            finally:
+                await service.shutdown()
+
+        served = {int(r["id"]): r for r in asyncio.run(scenario())}
+        assert all(r["ok"] for r in served.values())
+
+        traces = dataset.traces
+        truth = {t: 1 if traces[t].is_attack else -1 for t in test_idx}
+        correct = [served[t]["verdict"] == truth[t] for t in test_idx]
+        benign = [t for t in test_idx if truth[t] == -1]
+        flagged = [served[t]["verdict"] == 1 for t in benign]
+        assert sum(correct) / len(correct) == metrics["trace_accuracy"]
+        assert sum(flagged) / len(benign) == metrics["benign_false_positive_rate"]
+
+        families: dict[str, list[float]] = {}
+        for t in sorted(test_idx):
+            families.setdefault(_family_key(traces[t]), []).append(served[t]["margin"])
+        assert sorted(families) == sorted(metrics["per_family"])
+        mismatched = [
+            family
+            for family, margins in families.items()
+            if _margin_stats(np.array(margins)) != metrics["per_family"][family]["margins"]
+        ]
+        assert mismatched == []

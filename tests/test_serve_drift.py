@@ -499,11 +499,12 @@ class TestRetrain:
         self, drift_root, tmp_path
     ):
         """A full retrain zeros every member and refits it with its own salts
-        and config, ``epochs=max(passes, 5)`` and the retrain seed.  The base
-        is hand-edited: member 0 quantizes into 8 bins, not 16, and member 1
-        carries salts its seed does not regenerate; each must still train
-        with its own.  Mislabeled feedback keeps every epoch updating, so the
-        epoch count and the seed both show."""
+        and config, ``epochs=max(passes, 5)`` and shuffle seed ``seed + 17 *
+        k`` for member ``k``.  The base is hand-edited: member 0 quantizes
+        into 8 bins, not 16, and member 1 carries salts its seed does not
+        regenerate; each must still train with its own.  Mislabeled feedback
+        keeps every epoch updating, so the epoch count and the seed both
+        show."""
         root, store, *_ , v1 = drift_root
         base = store.load(v1)
         base.models[0].n_bins = 8
@@ -520,7 +521,7 @@ class TestRetrain:
         X, groups, labels = load_feedback(path)
         Z = base.normalizer.transform(X)
 
-        def fresh_fit(m, salts):
+        def fresh_fit(k, m, salts):
             fresh = HashedPerceptron(
                 m.n_features, seed=m.seed, n_tables=m.n_tables,
                 table_bits=m.table_bits, n_bins=m.n_bins, theta=m.theta,
@@ -528,15 +529,28 @@ class TestRetrain:
             )
             if salts is not None:
                 fresh._salts = salts
-            fresh.fit(Z, labels[groups], epochs=5, seed=5)
+            fresh.fit(Z, labels[groups], epochs=5, seed=5 + 17 * k)
             return fresh.weights
 
         members = zip(store.load(edited).models, store.load(candidate).models)
         for k, (m, got) in enumerate(members):
             np.testing.assert_array_equal(got._salts, m._salts)
-            np.testing.assert_array_equal(got.weights, fresh_fit(m, m._salts))
+            np.testing.assert_array_equal(got.weights, fresh_fit(k, m, m._salts))
             if k == 1:  # its own salts, not the ones its seed regenerates
-                assert not np.array_equal(got.weights, fresh_fit(m, None))
+                assert not np.array_equal(got.weights, fresh_fit(k, m, None))
+
+    def test_full_retrain_members_stay_distinct(self, drift_root, tmp_path):
+        """With 12 features over 16 tables no two features share a table, so
+        salts barely matter: members fitted with one shared shuffle seed
+        learn the same decisions and the ensemble collapses to one model.
+        Each member's own seed keeps them apart."""
+        root, store, *_ , v1 = drift_root
+        path = self._feedback_path(tmp_path, label=lambda i: -1 if i % 3 == 0 else 1)
+        candidate = retrain(str(root), v1, str(path), mode="full", passes=1, seed=5)
+        loaded = store.load(candidate)
+        Z = loaded.normalizer.transform(load_feedback(path)[0])
+        first, second = loaded.models
+        assert not np.array_equal(first.decision(Z), second.decision(Z))
 
     def test_full_retrain_subprocess_cli_matches_in_process(
         self, drift_root, tmp_path

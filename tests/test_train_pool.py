@@ -34,7 +34,7 @@ def _models(n_features: int) -> list[HashedPerceptron]:
 
 def _ensemble(workers: int):
     X, y = blobs()
-    return train_ensemble(_models(X.shape[1]), X, y, fit_kwargs={"epochs": 6}, workers=workers)
+    return train_ensemble(_models(X.shape[1]), X, y, epochs=6, workers=workers)
 
 
 def test_worker_count_is_semantics_free_for_training():
@@ -69,7 +69,7 @@ def test_threads_over_numpy_fallback_match_serial(monkeypatch):
 def test_members_return_in_seed_order():
     X, y = blobs()
     models = _models(X.shape[1])
-    members = train_ensemble(models, X, y, fit_kwargs={"epochs": 6}, workers=2)
+    members = train_ensemble(models, X, y, epochs=6, workers=2)
     assert [m.model for m in members] == models  # fitted in place, in order
     assert [m.model.seed for m in members] == [7000, 7001, 7002]
     assert all(m.train_s >= 0.0 for m in members)
@@ -94,7 +94,7 @@ def test_member_fit_error_propagates_without_refit(monkeypatch, caplog):
     monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
     with caplog.at_level(logging.WARNING, logger="repro"):
         with pytest.raises(ModelError, match="labels must be"):
-            train_ensemble(_models(X.shape[1]), X, y, fit_kwargs={"epochs": 6}, workers=2)
+            train_ensemble(_models(X.shape[1]), X, y, epochs=6, workers=2)
     assert calls and len(calls) == len(set(calls))
     assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
@@ -154,15 +154,6 @@ def test_per_member_timings_in_metrics(tmp_path):
     members = metrics["timings"]["train_members_s"]
     assert len(members) == 2
     assert all(isinstance(v, float) and v >= 0.0 for v in members)
-
-
-@pytest.mark.parametrize("kernel", ["reference", "blocked"])
-def test_pipeline_fit_kernel_is_semantics_free(tmp_path, kernel):
-    base = _run(tmp_path / "default")
-    variant = _run(tmp_path / kernel, fit_kernel=kernel)
-    base["config"].pop("fit_kernel", None)
-    variant["config"].pop("fit_kernel", None)
-    assert variant == base
 
 
 # -- threads: byte-identical to serial at 2 and 4 workers ------------------

@@ -1,28 +1,27 @@
 #!/usr/bin/env python3
-"""Load-generator + chaos harness for the ``repro.serve`` scoring daemon.
+"""Pass/fail chaos check for the ``repro.serve`` scoring daemon.
 
 Spawns the daemon as a real subprocess (the way a supervisor would), waits
 for ``/readyz``, then drives it through phases:
 
-1. **load** — N concurrent NDJSON clients send trace payloads drawn from the
-   corpus and record per-request latency.
-2. **burst** — all clients fire simultaneously against the bounded queue to
-   exercise backpressure; shed (503) responses are counted, not errors.
-3. **chaos** (``--chaos``) — injected corrupt payloads, malformed JSON,
+1. **burst** — more simultaneous clients than the bounded queue holds, to
+   exercise backpressure; shed (503) responses are answers, not errors.
+2. **chaos** (``--chaos``) — injected corrupt payloads, malformed JSON,
    truncated writes, stalled clients, a corrupt ``CURRENT`` artifact pointer
    followed by a good hot swap — all while normal load continues.
 
 Then SIGTERM, drain, and the hard assertions: the daemon exits 0 (zero
-crashes), every well-formed request got a structured response, every
-injected-fault request got a *structured error* (not a hang or a dropped
-daemon), and probes answered throughout.  Results go to ``BENCH_serve.json``
-(p50/p99 latency, throughput, shed/error counts, daemon counters).
+crashes) with a drain summary, every well-formed request got a structured
+response, every injected-fault request got a *structured error* (not a hang
+or a dropped daemon), readiness held through the corrupt swap, the good swap
+was picked up, and ``/healthz`` answered at the end.  Latency and throughput
+are measured by ``perfbench/``, not here.
 
 Usage::
 
     PYTHONPATH=src python tools/bench_serve.py [--artifact-root runs/artifact]
         [--trace-dir tests/fixtures/golden] [--clients 16] [--requests 40]
-        [--chaos] [--quick] [--json BENCH_serve.json]
+        [--chaos] [--quick]
 
 The artifact is built from ``--trace-dir`` automatically when the store is
 empty.  Exit status: 0 all assertions hold, 1 an assertion failed, 2
@@ -51,24 +50,20 @@ from repro.telemetry import get_logger, log_event  # noqa: E402
 
 logger = get_logger("repro.tools.bench_serve")
 
-BENCH_VERSION = 1
-
 
 # ---------------------------------------------------------------------------
 # setup
 # ---------------------------------------------------------------------------
 
 
-def ensure_artifact(root: Path, trace_dir: Path, out_dir: Path) -> str:
+def ensure_artifact(root: Path, trace_dir: Path, out_dir: Path) -> None:
     """Build an artifact from the corpus when the store is empty."""
-    store = ArtifactStore(root)
-    current = store.current()
-    if current is not None:
-        return current
+    if ArtifactStore(root).current() is not None:
+        return
     from repro.pipeline import PipelineConfig, run_pipeline
 
     log_event(logger, "bench_serve.build_artifact", trace_dir=str(trace_dir))
-    metrics = run_pipeline(
+    run_pipeline(
         PipelineConfig(
             trace_dir=str(trace_dir),
             out_dir=str(out_dir / "train"),
@@ -78,7 +73,6 @@ def ensure_artifact(root: Path, trace_dir: Path, out_dir: Path) -> str:
             artifact_root=str(root),
         )
     )
-    return metrics["artifact"]["version"]
 
 
 def load_payloads(trace_dir: Path) -> list[str]:
@@ -162,13 +156,12 @@ class Tally:
     """Shared result sink across all client tasks."""
 
     def __init__(self):
-        self.latencies_ms: list[float] = []
         self.by_status: dict[int, int] = {}
         self.unanswered = 0
         self.fault_structured = 0
         self.fault_unstructured = 0
 
-    def record(self, response: dict | None, latency_ms: float, *, fault: bool = False) -> None:
+    def record(self, response: dict | None, *, fault: bool = False) -> None:
         if response is None:
             self.unanswered += 1
             if fault:
@@ -182,8 +175,6 @@ class Tally:
                 self.fault_structured += 1
             else:
                 self.fault_unstructured += 1
-        elif response.get("ok"):
-            self.latencies_ms.append(latency_ms)
 
 
 async def send_one(reader, writer, doc: dict, *, timeout: float = 30.0) -> dict | None:
@@ -202,13 +193,12 @@ async def load_client(port: int, payloads: list[str], n: int, tag: str, tally: T
     try:
         for i in range(n):
             doc = {"id": f"{tag}-{i}", "payload_b64": payloads[i % len(payloads)]}
-            t0 = time.monotonic()
             try:
                 response = await send_one(reader, writer, doc)
             except (OSError, asyncio.TimeoutError, ValueError):
-                tally.record(None, 0.0)
+                tally.record(None)
                 return
-            tally.record(response, (time.monotonic() - t0) * 1e3)
+            tally.record(response)
     finally:
         writer.close()
 
@@ -236,9 +226,9 @@ async def chaos_corrupt_client(port: int, payloads: list[str], n: int, tag: str,
             try:
                 response = await send_one(reader, writer, doc)
             except (OSError, asyncio.TimeoutError, ValueError):
-                tally.record(None, 0.0, fault=True)
+                tally.record(None, fault=True)
                 return
-            tally.record(response, 0.0, fault=True)
+            tally.record(response, fault=True)
     finally:
         writer.close()
 
@@ -256,9 +246,9 @@ async def chaos_malformed_lines(port: int, n: int, tally: Tally):
             await writer.drain()
             try:
                 line = await asyncio.wait_for(reader.readline(), timeout=10)
-                tally.record(json.loads(line) if line.strip() else None, 0.0, fault=True)
+                tally.record(json.loads(line) if line.strip() else None, fault=True)
             except (OSError, asyncio.TimeoutError, ValueError):
-                tally.record(None, 0.0, fault=True)
+                tally.record(None, fault=True)
                 return
     finally:
         writer.close()
@@ -302,9 +292,8 @@ async def chaos_artifact_swaps(artifact_root: Path, port: int, results: dict):
     # -- corrupt swap: pointer to a version directory that is not there
     (artifact_root / "CURRENT").write_text("v9999-deadbeef\n")
     await asyncio.sleep(1.0)
-    status, ready = await probe(port, "/readyz")
+    status, _ = await probe(port, "/readyz")
     results["ready_during_bad_swap"] = status == 200
-    results["serving_during_bad_swap"] = ready.get("artifact")
     # -- good swap: republish the same model content as a new version
     loaded = store.load(good)
     published = store.publish(
@@ -318,7 +307,6 @@ async def chaos_artifact_swaps(artifact_root: Path, port: int, results: dict):
         if status == 200 and ready.get("artifact") == published.version:
             swapped = True
             break
-    results["good_swap_version"] = published.version
     results["hot_swap_observed"] = swapped
 
 
@@ -327,78 +315,36 @@ async def chaos_artifact_swaps(artifact_root: Path, port: int, results: dict):
 # ---------------------------------------------------------------------------
 
 
-async def run_bench(args, port: int, payloads: list[str], artifact_root: Path) -> dict:
+async def run_phases(
+    args, port: int, payloads: list[str], artifact_root: Path
+) -> tuple[Tally, dict]:
     tally = Tally()
-    chaos_results: dict = {}
+    chaos: dict = {}
 
-    t0 = time.monotonic()
-    # phase 1: steady load
-    await asyncio.gather(
-        *(
-            load_client(port, payloads, args.requests, f"load{c}", tally)
-            for c in range(args.clients)
-        )
-    )
-    load_elapsed = time.monotonic() - t0
-
-    # phase 2: burst against the bounded queue — enough simultaneous
-    # connections to exceed max_queue, so real shedding is exercised
-    burst_t0 = time.monotonic()
+    # burst against the bounded queue — enough simultaneous connections to
+    # exceed max_queue, so real shedding is exercised
     await asyncio.gather(
         *(
             load_client(port, payloads, max(2, args.requests // 4), f"burst{c}", tally)
             for c in range(max(args.clients * 4, args.max_queue * 2))
         )
     )
-    burst_elapsed = time.monotonic() - burst_t0
 
     if args.chaos:
         n_faults = max(6, args.requests // 2)
-        chaos_tasks = [
+        await asyncio.gather(
             chaos_corrupt_client(port, payloads, n_faults, "corrupt", tally),
             chaos_malformed_lines(port, n_faults, tally),
             chaos_truncated_write(port, payloads),
             chaos_truncated_write(port, payloads),
             chaos_stalled_client(port, hold_s=8.0),
-            chaos_artifact_swaps(artifact_root, port, chaos_results),
+            chaos_artifact_swaps(artifact_root, port, chaos),
             # normal traffic must keep flowing through all of it
             load_client(port, payloads, args.requests, "during-chaos", tally),
-        ]
-        await asyncio.gather(*chaos_tasks)
+        )
 
-    status, metrics = await probe(port, "/metricsz")
-    chaos_results["metricsz_status"] = status
-    health, _ = await probe(port, "/healthz")
-    chaos_results["healthz_status"] = health
-
-    lat = sorted(tally.latencies_ms)
-
-    def pct(p: float) -> float:
-        return round(lat[min(len(lat) - 1, int(p * len(lat)))], 3) if lat else float("nan")
-
-    n_load = args.clients * args.requests
-    return {
-        "latency_ms": {
-            "p50": pct(0.50),
-            "p90": pct(0.90),
-            "p99": pct(0.99),
-            "mean": round(sum(lat) / len(lat), 3) if lat else float("nan"),
-            "count": len(lat),
-        },
-        "throughput_rps": round(n_load / load_elapsed, 1) if load_elapsed else 0.0,
-        "load_elapsed_s": round(load_elapsed, 3),
-        "burst_elapsed_s": round(burst_elapsed, 3),
-        "responses_by_status": {str(k): v for k, v in sorted(tally.by_status.items())},
-        "shed": tally.by_status.get(503, 0),
-        "quarantined_responses": tally.by_status.get(422, 0),
-        "unanswered": tally.unanswered,
-        "faults": {
-            "structured": tally.fault_structured,
-            "unstructured": tally.fault_unstructured,
-        },
-        "chaos": chaos_results,
-        "daemon_metrics": metrics,
-    }
+    chaos["healthz_status"], _ = await probe(port, "/healthz")
+    return tally, chaos
 
 
 # ---------------------------------------------------------------------------
@@ -411,16 +357,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--artifact-root", default="runs/serve-bench/artifact")
     parser.add_argument("--trace-dir", default="tests/fixtures/golden")
     parser.add_argument("--out", default="runs/serve-bench")
-    parser.add_argument("--json", default="BENCH_serve.json")
     parser.add_argument("--clients", type=int, default=16)
     parser.add_argument("--requests", type=int, default=40, help="requests per client")
     parser.add_argument("--max-queue", type=int, default=16)
     parser.add_argument("--max-batch", type=int, default=16)
     parser.add_argument("--chaos", action="store_true", help="inject faults while serving")
     parser.add_argument("--quick", action="store_true", help="shrink load for a CI smoke run")
-    parser.add_argument(
-        "--check", action="store_true", help="run assertions only; do not write the report"
-    )
     args = parser.parse_args(argv)
     if args.quick:
         args.clients = min(args.clients, 6)
@@ -432,7 +374,7 @@ def main(argv: list[str] | None = None) -> int:
     artifact_root = Path(args.artifact_root)
     trace_dir = Path(args.trace_dir)
     try:
-        version = ensure_artifact(artifact_root, trace_dir, out_dir)
+        ensure_artifact(artifact_root, trace_dir, out_dir)
     except ReproError as exc:
         print(f"cannot build artifact: [{exc.code}] {exc}", file=sys.stderr)
         return 2
@@ -441,7 +383,7 @@ def main(argv: list[str] | None = None) -> int:
     proc, port = spawn_daemon(args, artifact_root, out_dir / "serve_quarantine.json")
     try:
         asyncio.run(wait_ready(port))
-        results = asyncio.run(run_bench(args, port, payloads, artifact_root))
+        tally, chaos = asyncio.run(run_phases(args, port, payloads, artifact_root))
     finally:
         proc.send_signal(signal.SIGTERM)
         try:
@@ -464,69 +406,43 @@ def main(argv: list[str] | None = None) -> int:
         failures.append(f"daemon exited {proc.returncode}, expected 0")
     if not daemon_final:
         failures.append("daemon did not report a clean drain summary on stdout")
-    if results["unanswered"]:
-        failures.append(f"{results['unanswered']} well-formed requests went unanswered")
+    if tally.unanswered:
+        failures.append(f"{tally.unanswered} well-formed requests went unanswered")
     if args.chaos:
-        if results["faults"]["unstructured"]:
+        if tally.fault_unstructured:
             failures.append(
-                f"{results['faults']['unstructured']} injected faults were not "
+                f"{tally.fault_unstructured} injected faults were not "
                 "answered with structured errors"
             )
-        if results["faults"]["structured"] == 0:
+        if tally.fault_structured == 0:
             failures.append("chaos mode ran but no injected fault was exercised")
-        if not results["chaos"].get("ready_during_bad_swap"):
+        if not chaos.get("ready_during_bad_swap"):
             failures.append("daemon lost readiness during the corrupt artifact swap")
-        if not results["chaos"].get("hot_swap_observed"):
+        if not chaos.get("hot_swap_observed"):
             failures.append("daemon never picked up the good artifact hot swap")
         if daemon_final and daemon_final.get("reload_failures", 0) < 1:
             failures.append("corrupt artifact swap was never refused (reload_failures == 0)")
-    if results["chaos"].get("healthz_status") != 200:
+    if chaos.get("healthz_status") != 200:
         failures.append("healthz probe failed at end of run")
-    ok_count = results["responses_by_status"].get("200", 0)
+    ok_count = tally.by_status.get(200, 0)
     if ok_count == 0:
         failures.append("no request was ever scored successfully")
 
-    doc = {
-        "version": BENCH_VERSION,
-        "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "artifact": version,
-        "corpus": str(trace_dir),
-        "config": {
-            "clients": args.clients,
-            "requests_per_client": args.requests,
-            "max_queue": args.max_queue,
-            "max_batch": args.max_batch,
-            "chaos": args.chaos,
-            "quick": args.quick,
-        },
-        "results": results,
-        "daemon_exit_code": proc.returncode,
-        "daemon_counters": daemon_final,
-        "assertions_failed": failures,
-        "crashes": 0 if proc.returncode == 0 else 1,
-    }
-    if not args.check:
-        Path(args.json).write_text(json.dumps(doc, indent=2) + "\n")
-
-    lat = results["latency_ms"]
     print(
-        f"served {ok_count} ok / shed {results['shed']} / "
-        f"quarantined {results['quarantined_responses']}  "
-        f"p50 {lat['p50']} ms  p99 {lat['p99']} ms  "
-        f"{results['throughput_rps']} req/s"
+        f"served {ok_count} ok / shed {tally.by_status.get(503, 0)} / "
+        f"quarantined {tally.by_status.get(422, 0)}"
     )
     if args.chaos:
         print(
-            f"chaos: {results['faults']['structured']} faults answered structurally, "
-            f"hot_swap={results['chaos'].get('hot_swap_observed')}, "
+            f"chaos: {tally.fault_structured} faults answered structurally, "
+            f"hot_swap={chaos.get('hot_swap_observed')}, "
             f"reload_failures={daemon_final.get('reload_failures')}"
         )
     if failures:
         for failure in failures:
             print(f"ASSERTION FAILED: {failure}", file=sys.stderr)
         return 1
-    print(f"all serve assertions hold; daemon exited cleanly"
-          + ("" if args.check else f"; report -> {args.json}"))
+    print("all serve assertions hold; daemon exited cleanly")
     return 0
 
 

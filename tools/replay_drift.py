@@ -72,7 +72,7 @@ def pretrain_artifact(schedule, args, artifact_root: Path) -> str:
         HashedPerceptron(dataset.n_features, theta=5.0, seed=args.train_seed * 1000 + k)
         for k in range(args.members)
     ]
-    train_ensemble(models, Z, dataset.y, fit_kwargs={"epochs": args.epochs})
+    train_ensemble(models, Z, dataset.y, epochs=args.epochs)
     published = ArtifactStore(artifact_root).publish(
         models,
         normalizer,
