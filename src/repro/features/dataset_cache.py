@@ -174,52 +174,44 @@ def _file_digest(path: Path) -> tuple[str, str, int]:
     return str(path), h.hexdigest(), size
 
 
-def _scan_corpus(root: Path, pattern: str) -> list[tuple[str, str, os.stat_result | None]]:
+def _scan_corpus(root: Path) -> list[tuple[str, str, os.stat_result | None]]:
     """Walk the corpus once, returning ``(abs_path, relpath, stat | None)``
-    for every entry the ingest glob would visit.  The default pattern gets a
-    scandir walk (one readdir per directory, stats reused for the memo);
-    anything else falls back to :meth:`Path.glob`."""
+    for every entry the ingest glob (:data:`~repro.ingest.loader.CORPUS_GLOB`,
+    ``**/*.pkl``) would visit: a scandir walk, one readdir per directory,
+    with stats reused for the memo."""
     entries: list[tuple[str, str, os.stat_result | None]] = []
-    if pattern == "**/*.pkl":
-        root_str = str(root)
-        # every walked path is prefix + relpath, so relpaths are a slice —
-        # os.path.relpath would cost ~5 µs/file of normpath work
-        prefix = root_str.rstrip(os.sep) + os.sep
-        cut = len(prefix)
-        stack = [root_str]
-        append = entries.append
-        while stack:
-            try:
-                it = os.scandir(stack.pop())
-            except OSError:
-                continue
-            with it:
-                for e in it:
-                    try:
-                        is_dir = e.is_dir(follow_symlinks=False)
-                    except OSError:
-                        is_dir = False
-                    if is_dir:
-                        stack.append(e.path)
-                    if e.name.endswith(".pkl"):
-                        try:
-                            st = e.stat()
-                        except OSError:
-                            st = None
-                        path = e.path
-                        rel = (
-                            path[cut:]
-                            if path.startswith(prefix)
-                            else os.path.relpath(path, root_str)
-                        )
-                        append((path, rel, st))
-        return entries
-    for p in sorted(root.glob(pattern)):
+    root_str = str(root)
+    # every walked path is prefix + relpath, so relpaths are a slice —
+    # os.path.relpath would cost ~5 µs/file of normpath work
+    prefix = root_str.rstrip(os.sep) + os.sep
+    cut = len(prefix)
+    stack = [root_str]
+    append = entries.append
+    while stack:
         try:
-            st = p.stat()
+            it = os.scandir(stack.pop())
         except OSError:
-            st = None
-        entries.append((str(p), str(p.relative_to(root)), st))
+            continue
+        with it:
+            for e in it:
+                try:
+                    is_dir = e.is_dir(follow_symlinks=False)
+                except OSError:
+                    is_dir = False
+                if is_dir:
+                    stack.append(e.path)
+                if e.name.endswith(".pkl"):
+                    try:
+                        st = e.stat()
+                    except OSError:
+                        st = None
+                    path = e.path
+                    rel = (
+                        path[cut:]
+                        if path.startswith(prefix)
+                        else os.path.relpath(path, root_str)
+                    )
+                    append((path, rel, st))
     return entries
 
 
@@ -323,7 +315,6 @@ class DatasetCache:
         self,
         trace_dir,
         *,
-        pattern: str = "**/*.pkl",
         faults: FaultPlan | None = None,
         retry_policy: RetryPolicy | None = None,
         decode_timeout_s: float = 30.0,
@@ -344,7 +335,7 @@ class DatasetCache:
         )
         header_sha = hashlib.sha256(header.encode()).hexdigest()
         root = Path(trace_dir)
-        scanned = _scan_corpus(root, pattern)
+        scanned = _scan_corpus(root)
         memo, cached = self._load_sweep_memo(root)
         fresh: dict[str, tuple[int, int, str]] = {}
         digests: dict[str, str] = {}
@@ -957,7 +948,6 @@ class CorpusAssembly:
 def assemble_corpus(
     trace_dir,
     *,
-    pattern: str = "**/*.pkl",
     workers: int = 1,
     retry_policy: RetryPolicy | None = None,
     decode_timeout_s: float = 30.0,
@@ -980,7 +970,6 @@ def assemble_corpus(
     if cache is not None:
         key = cache.corpus_key(
             trace_dir,
-            pattern=pattern,
             faults=faults,
             retry_policy=retry_policy,
             decode_timeout_s=decode_timeout_s,
@@ -1004,7 +993,6 @@ def assemble_corpus(
     results, quarantine = load_corpus_pooled(
         trace_dir,
         workers=workers,
-        pattern=pattern,
         retry_policy=retry_policy,
         decode_timeout_s=decode_timeout_s,
         faults=faults,

@@ -21,6 +21,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 logger = get_logger("repro.ingest")
 
+#: the corpus layout: every ``.pkl`` file at any depth under the corpus root,
+#: so flat corpora and the payload-hash-sharded layout ``repro.gen`` writes
+#: (``shard_xx/*.pkl``) load alike
+CORPUS_GLOB = "**/*.pkl"
+
+
+def corpus_paths(root) -> list[Path]:
+    """Every corpus file under ``root``, in load order."""
+    return sorted(Path(root).glob(CORPUS_GLOB))
+
 
 @dataclass
 class LoadResult:
@@ -52,21 +62,16 @@ class TraceLoader:
         self,
         root,
         *,
-        pattern: str = "*.pkl",
         retry_policy: RetryPolicy | None = None,
         decode_timeout_s: float = 10.0,
         faults: FaultPlan | None = None,
         cache: "FeatureCache | None" = None,
     ):
         self.root = Path(root)
-        self.pattern = pattern
         self.retry_policy = retry_policy or RetryPolicy()
         self.decode_timeout_s = decode_timeout_s
         self.injector = FaultInjector(faults) if faults and faults.active else None
         self.cache = cache
-
-    def paths(self) -> list[Path]:
-        return sorted(self.root.glob(self.pattern))
 
     # -- single file -----------------------------------------------------
 
@@ -111,7 +116,7 @@ class TraceLoader:
 
     def iter_corpus(self, quarantine: QuarantineManifest) -> Iterator[LoadResult]:
         """Yield a ``LoadResult`` per decodable file; quarantine the rest."""
-        for path in self.paths():
+        for path in corpus_paths(self.root):
             try:
                 result = self.load(path)
             except (TraceDecodeError, RetryExhausted) as exc:

@@ -33,7 +33,7 @@ from pathlib import Path
 from ..errors import RetryExhausted, TraceDecodeError
 from ..faults import FaultPlan
 from ..telemetry import get_logger, log_event
-from .loader import LoadResult, TraceLoader
+from .loader import LoadResult, TraceLoader, corpus_paths
 from .quarantine import QuarantineManifest
 from .retry import RetryPolicy
 
@@ -44,7 +44,6 @@ _WORKER_LOADER: TraceLoader | None = None
 
 def _init_worker(
     root: str,
-    pattern: str,
     retry_policy: RetryPolicy | None,
     decode_timeout_s: float,
     faults: FaultPlan | None,
@@ -59,7 +58,6 @@ def _init_worker(
         cache = FeatureCache(cache_root)
     _WORKER_LOADER = TraceLoader(
         root,
-        pattern=pattern,
         retry_policy=retry_policy,
         decode_timeout_s=decode_timeout_s,
         faults=faults,
@@ -81,7 +79,6 @@ def load_corpus_pooled(
     root,
     *,
     workers: int = 1,
-    pattern: str = "*.pkl",
     retry_policy: RetryPolicy | None = None,
     decode_timeout_s: float = 10.0,
     faults: FaultPlan | None = None,
@@ -99,7 +96,6 @@ def load_corpus_pooled(
             cache = FeatureCache(cache_root)
         loader = TraceLoader(
             root,
-            pattern=pattern,
             retry_policy=retry_policy,
             decode_timeout_s=decode_timeout_s,
             faults=faults,
@@ -107,7 +103,7 @@ def load_corpus_pooled(
         )
         return loader.load_corpus()
 
-    paths = sorted(Path(root).glob(pattern))
+    paths = corpus_paths(root)
     quarantine = QuarantineManifest(root=str(Path(root)))
     results: list[LoadResult] = []
     t_start = time.monotonic()
@@ -117,7 +113,7 @@ def load_corpus_pooled(
         with ProcessPoolExecutor(
             max_workers=n_workers,
             initializer=_init_worker,
-            initargs=(str(root), pattern, retry_policy, decode_timeout_s, faults, cache_root),
+            initargs=(str(root), retry_policy, decode_timeout_s, faults, cache_root),
         ) as executor:
             chunksize = max(1, len(paths) // (n_workers * 4))
             outcomes = executor.map(_load_one, (str(p) for p in paths), chunksize=chunksize)

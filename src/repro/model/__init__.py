@@ -2,7 +2,7 @@
 the parallel ensemble trainer, and the versioned artifact store."""
 
 from .artifact import ArtifactStore, LoadedArtifact, PublishResult
-from .kernels import ONLINE_KERNELS, fit_epoch_blocked, fit_epoch_reference
+from .kernels import ONLINE_KERNELS, fit_epoch_reference
 from .perceptron import (
     HashedPerceptron,
     ensemble_margins,
@@ -21,7 +21,6 @@ __all__ = [
     "TrainedMember",
     "ensemble_margins",
     "ensemble_partial_fit",
-    "fit_epoch_blocked",
     "fit_epoch_reference",
     "margin_scales",
     "train_ensemble",

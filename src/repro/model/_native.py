@@ -6,13 +6,13 @@ order — so every result is bit-identical to the pure-numpy path and the
 kernel-equivalence tests can pin one against the other.  What changes is
 only the constant factor: the epoch loop spends its time in ~1.4M random
 gathers into a 256 KB weight table per pass, which C does at L2 speed while
-numpy pays a Python-level restart per weight update.
+the numpy reference loop pays Python-level work per sample.
 
 Compilation is lazy and cached: the first call compiles the embedded source
 with ``cc -O2 -shared -fPIC`` into a content-addressed ``.so`` under
 ``REPRO_NATIVE_DIR`` (default: ``_build/`` next to this file), so every
 later process just ``dlopen``s it.  No compiler, a failed compile, or
-``REPRO_NATIVE=off`` all degrade to the numpy kernels; nothing in the
+``REPRO_NATIVE=off`` all degrade to the numpy paths; nothing in the
 system *requires* the fast path.
 """
 

@@ -13,7 +13,7 @@ salt-free uint8 bins matrix every member reads.  ``workers <= 1`` fits the
 members one after another on the calling thread; more workers fit them on a
 thread pool that shares that bins array and the labels.  The native epoch
 kernel is called through ctypes, which releases the GIL, so threads overlap
-the epochs; the numpy fallback kernels hold the GIL, so without a compiler
+the epochs; the numpy reference kernel holds the GIL, so without a compiler
 threads stay correct but bring no speedup.  A member that raises in ``fit``
 propagates its exception to the caller.
 """

@@ -37,16 +37,12 @@ from ..telemetry import get_logger, log_event, span
 
 logger = get_logger("repro.pipeline")
 
-METRICS_VERSION = 6
+METRICS_VERSION = 7
 
 
 @dataclass
 class PipelineConfig:
     trace_dir: str = ".trace_cache"
-    #: corpus file glob, relative to ``trace_dir``; the recursive default
-    #: picks up both flat corpora and the payload-hash-sharded layout
-    #: ``repro.gen`` writes (``shard_xx/*.pkl``)
-    pattern: str = "**/*.pkl"
     out_dir: str = "runs/latest"
     test_frac: float = 0.3
     epochs: int = 20
@@ -189,7 +185,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
     # miss walks the decode cache / salvage path and publishes the result
     assembly = assemble_corpus(
         config.trace_dir,
-        pattern=config.pattern,
         workers=config.workers,
         retry_policy=config.retry_policy,
         decode_timeout_s=config.decode_timeout_s,
@@ -354,7 +349,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
         },
         "config": {
             "trace_dir": config.trace_dir,
-            "pattern": config.pattern,
             "test_frac": config.test_frac,
             "epochs": config.epochs,
             "seed": config.seed,

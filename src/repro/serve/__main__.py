@@ -28,13 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-batch",
         type=int,
         default=defaults.max_batch,
-        help="requests coalesced into one scoring micro-batch",
-    )
-    parser.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=defaults.batch_window_ms,
-        help="how long the batcher waits to fill a micro-batch",
+        help="most queued requests taken into one scoring micro-batch",
     )
     parser.add_argument("--request-timeout", type=float, default=defaults.request_timeout_s)
     parser.add_argument("--score-timeout", type=float, default=defaults.score_timeout_s)
@@ -105,7 +99,6 @@ def main(argv: list[str] | None = None) -> int:
         port=args.port,
         max_queue=args.max_queue,
         max_batch=args.max_batch,
-        batch_window_ms=args.batch_window_ms,
         request_timeout_s=args.request_timeout,
         score_timeout_s=args.score_timeout,
         write_timeout_s=args.write_timeout,

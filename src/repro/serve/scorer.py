@@ -58,8 +58,6 @@ class ScoreRequest:
     deadline_mono: float
     #: set by the service layer; resolved with the response document
     future: object = None
-    #: filled during scoring
-    response: dict | None = None
     #: labeled-feedback fields, filled during scoring when the request
     #: carries a ``label``: the decoded rows and family feed the drift
     #: monitor and the retrain supervisor's feedback buffer
@@ -206,7 +204,7 @@ class RequestScorer:
         Failed requests get structured error documents; the survivors are
         stacked into one matrix and scored in a single
         :meth:`LoadedArtifact.score_traces` pass with the artifact's pinned
-        margin scales, so coalescing never changes any verdict.  Each
+        margin scales, so batching never changes any verdict.  Each
         answer's ``margin`` is the trace mean from :func:`trace_verdicts`,
         the reduction pipeline eval writes to metrics.json.
         """

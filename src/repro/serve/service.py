@@ -6,9 +6,9 @@ One event loop, four long-lived tasks:
   sniffs HTTP probes (``GET /healthz`` etc.) on the same port, enqueues
   scoring requests onto a *bounded* queue, and sheds with a structured
   503-style response when the queue is full.
-- **batcher**: pulls requests off the queue, coalesces a micro-batch (up to
-  ``max_batch`` requests or ``batch_window_ms``), drops already-expired
-  requests with 504-style responses, and runs the synchronous
+- **batcher**: awaits one request, takes whatever else is already queued
+  (up to ``max_batch`` requests, never waiting for more), drops
+  already-expired requests with 504-style responses, and runs the synchronous
   :class:`~repro.serve.scorer.RequestScorer` in the default executor under a
   ``score_timeout_s`` watchdog budget — a wedged batch answers every caller
   with a structured error instead of hanging them.
@@ -50,10 +50,8 @@ class ServeConfig:
     port: int = 8765
     #: bounded request queue: beyond this, requests are shed with a 503
     max_queue: int = 256
-    #: requests coalesced into one scoring call
+    #: most queued requests taken into one scoring call
     max_batch: int = 32
-    #: how long the batcher waits to fill a batch once it holds one request
-    batch_window_ms: float = 2.0
     #: per-request deadline (queue wait + scoring)
     request_timeout_s: float = 10.0
     #: watchdog budget for one scoring batch
@@ -138,7 +136,7 @@ class ScoringService:
         self._reload_task: asyncio.Task | None = None
         self._batch_started_mono: float | None = None
         #: requests dequeued by the batcher but not yet answered; drain waits
-        #: on this as well as the queue so the coalescing window cannot hide
+        #: on this as well as the queue so the batch being scored cannot hide
         #: a request from shutdown
         self._inflight = 0
         self._bad_versions: set[str] = set()
@@ -438,22 +436,11 @@ class ScoringService:
     # -- batcher ---------------------------------------------------------
 
     async def _batcher(self) -> None:
-        loop = asyncio.get_running_loop()
-        window_s = self.config.batch_window_ms / 1e3
         while True:
-            req = await self.queue.get()
-            self._inflight += 1
-            batch = [req]
-            t0 = loop.time()
-            while len(batch) < self.config.max_batch:
-                remaining = window_s - (loop.time() - t0)
-                if remaining <= 0:
-                    break
-                try:
-                    batch.append(await asyncio.wait_for(self.queue.get(), timeout=remaining))
-                    self._inflight += 1
-                except asyncio.TimeoutError:
-                    break
+            batch = [await self.queue.get()]
+            while len(batch) < self.config.max_batch and not self.queue.empty():
+                batch.append(self.queue.get_nowait())
+            self._inflight += len(batch)
             try:
                 await self._score_batch(batch)
             finally:

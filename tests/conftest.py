@@ -1,8 +1,10 @@
-"""Shared fixtures: paths into the real trace-cache corpus and synthetic
-trace factories used by the codec / ingest / pipeline tests."""
+"""Shared fixtures: paths into the real trace-cache corpus, synthetic
+trace factories used by the codec / ingest / pipeline tests, and a polling
+helper for the in-process daemon tests."""
 
 from __future__ import annotations
 
+import asyncio
 from pathlib import Path
 
 import numpy as np
@@ -73,3 +75,12 @@ def write_synthetic_corpus(root: Path, n_benign: int = 4, n_attack: int = 4) -> 
         path.write_bytes(encode_trace(trace))
         paths.append(path)
     return paths
+
+
+async def wait_for_state(predicate, what: str, *, tries: int = 500) -> None:
+    """Poll ``predicate`` on the event loop every 10 ms until it holds."""
+    for _ in range(tries):
+        if predicate():
+            return
+        await asyncio.sleep(0.01)
+    raise AssertionError(f"timed out waiting for {what}")

@@ -247,7 +247,7 @@ class TestPinnedScales:
         models, norm, scales, Z = fitted
         whole = ensemble_margins(models, Z, scales)
         # scoring any sub-batch alone must reproduce the same per-sample
-        # margins bit for bit — the property serving-side coalescing needs
+        # margins bit for bit — the property serving-side batching needs
         for start, stop in ((0, 7), (7, 33), (33, 60)):
             part = ensemble_margins(models, Z[start:stop], scales)
             assert np.array_equal(part, whole[start:stop])

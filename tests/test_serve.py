@@ -16,10 +16,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_trace
+from conftest import make_trace, wait_for_state
 from repro.features import Normalizer, build_dataset
 from repro.ingest import TraceLoader
-from repro.model import ArtifactStore, HashedPerceptron, margin_scales
+from repro.model import ArtifactStore, HashedPerceptron, margin_scales, trace_verdicts
 from repro.pipeline import PipelineConfig, _family_key, _margin_stats, run_pipeline, split_traces
 from repro.pipeline.__main__ import main as pipeline_main
 from repro.serve import ScoringService, ServeConfig
@@ -56,7 +56,6 @@ def serve_config(root, **overrides) -> ServeConfig:
         artifact_root=str(root),
         port=0,
         reload_poll_s=0,
-        batch_window_ms=1.0,
         idle_timeout_s=10.0,
         request_timeout_s=5.0,
     )
@@ -206,14 +205,17 @@ class TestProtocol:
 
 
 class _BlockingScore:
-    """Wraps score_batch so the batcher wedges until released."""
+    """Wraps score_batch so the batcher wedges until released; records the
+    request ids of every batch it is handed."""
 
     def __init__(self, scorer):
         self.release = threading.Event()
+        self.batches: list[list[str]] = []
         self._inner = scorer.score_batch
         scorer.score_batch = self
 
     def __call__(self, batch):
+        self.batches.append([req.req_id for req in batch])
         self.release.wait(timeout=30)
         return self._inner(batch)
 
@@ -344,6 +346,51 @@ class TestBackpressure:
                 await service.shutdown()
 
         asyncio.run(scenario())
+
+
+class TestBatching:
+    def test_batcher_takes_what_is_queued_up_to_max_batch(self, small_artifact_root):
+        """The batcher never waits for a batch to fill: it scores the request
+        it awaited plus whatever is already queued, at most ``max_batch`` at a
+        time, and batching never moves an answer."""
+        payloads = {f"q{i}": trace_payload(seed=i) for i in range(6)}
+
+        async def scenario():
+            service = ScoringService(serve_config(small_artifact_root, max_batch=3))
+            await service.start()
+            block = _BlockingScore(service.scorer)
+            try:
+                first = asyncio.create_task(
+                    rpc(service.port, {"id": "q0", "payload_b64": payloads["q0"]})
+                )
+                await wait_for_state(lambda: service._inflight == 1, "q0 to be dequeued")
+                rest = [
+                    asyncio.create_task(
+                        rpc(service.port, {"id": req_id, "payload_b64": payloads[req_id]})
+                    )
+                    for req_id in sorted(payloads)[1:]
+                ]
+                await wait_for_state(lambda: service.queue.qsize() == 5, "5 queued requests")
+                block.release.set()
+                responses = await asyncio.gather(first, *rest)
+                return responses, block.batches, service.scorer.artifact
+            finally:
+                block.release.set()
+                await service.shutdown()
+
+        responses, batches, artifact = asyncio.run(scenario())
+        assert [len(b) for b in batches] == [1, 3, 2]
+        assert batches[0] == ["q0"]
+        assert sorted(batches[1] + batches[2]) == ["q1", "q2", "q3", "q4", "q5"]
+        assert all(r["ok"] for r in responses)
+        for r in responses:
+            trace, _ = decode_trace(base64.b64decode(payloads[r["id"]]))
+            rows = np.asarray(trace.rows, dtype=np.float64)
+            groups = np.zeros(rows.shape[0], dtype=np.int64)
+            margins, verdicts = artifact.score_traces(rows, groups, 1)
+            solo_margin, _ = trace_verdicts(margins, groups, 1)
+            assert r["verdict"] == int(verdicts[0]), r["id"]
+            assert r["margin"] == float(solo_margin[0]), r["id"]
 
 
 class TestDrain:
@@ -493,20 +540,29 @@ class TestGoldenParity:
         batch_margin = sums / counts
 
         async def scenario():
-            service = ScoringService(serve_config(root, max_batch=3, batch_window_ms=5.0))
+            service = ScoringService(serve_config(root, max_batch=3))
             await service.start()
+            block = _BlockingScore(service.scorer)
             try:
-                # fire all requests concurrently so the daemon coalesces them
-                # into micro-batches of mixed traces — parity must still hold
+                # hold the first batch until every request is queued, so the
+                # daemon scores micro-batches of mixed traces — parity must
+                # still hold
                 docs = [
                     {"id": p.name, "payload_b64": base64.b64encode(p.read_bytes()).decode()}
                     for p in paths
                 ]
-                return await asyncio.gather(*(rpc(service.port, d) for d in docs))
+                tasks = [asyncio.create_task(rpc(service.port, d)) for d in docs]
+                await wait_for_state(
+                    lambda: service.stats.received == len(docs), "every request queued"
+                )
+                block.release.set()
+                return await asyncio.gather(*tasks), service.stats.batches
             finally:
+                block.release.set()
                 await service.shutdown()
 
-        responses = asyncio.run(scenario())
+        responses, batches = asyncio.run(scenario())
+        assert batches < len(paths), "no multi-request batch formed"
         by_id = {r["id"]: r for r in responses}
         assert all(r["ok"] for r in responses)
         for t, path in enumerate(paths):
@@ -536,7 +592,7 @@ class TestMetricsParity:
         metrics = json.loads((out / "metrics.json").read_text())["metrics"]
 
         # the pipeline's own load order and split name the held-out files
-        results, _ = TraceLoader(corpus, pattern="**/*.pkl").load_corpus()
+        results, _ = TraceLoader(corpus).load_corpus()
         dataset = build_dataset([r.trace for r in results])
         _, test_idx = split_traces(
             dataset.traces, GOLDEN_CONFIG["test_frac"], GOLDEN_CONFIG["seed"]

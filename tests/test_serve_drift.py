@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import wait_for_state
 from repro.errors import RetrainFailed
 from repro.features import Normalizer
 from repro.model import ArtifactStore, HashedPerceptron, margin_scales
@@ -81,7 +82,6 @@ def serve_config(root, **overrides) -> ServeConfig:
         artifact_root=str(root),
         port=0,
         reload_poll_s=0,
-        batch_window_ms=1.0,
         idle_timeout_s=10.0,
         request_timeout_s=5.0,
     )
@@ -320,16 +320,20 @@ class TestReloadRace:
         root, store, models, norm, v1 = drift_root
 
         async def scenario():
-            service = ScoringService(
-                serve_config(root, batch_window_ms=200.0, max_batch=8)
-            )
+            service = ScoringService(serve_config(root, max_batch=8))
             await service.start()
+            gate = threading.Event()
             entered = threading.Event()
             release = threading.Event()
             original = service.scorer.score_batch
             wedged_ids: list[str] = []
 
             def wedged(batch):
+                if [req.req_id for req in batch] == ["gate"]:
+                    # hold the batcher until the racing requests are queued,
+                    # so the next batch takes all of them at once
+                    assert gate.wait(10), "test never opened the gate"
+                    return original(batch)
                 wedged_ids.extend(req.req_id for req in batch)
                 entered.set()
                 assert release.wait(10), "test never released the batch"
@@ -337,9 +341,15 @@ class TestReloadRace:
 
             service.scorer.score_batch = wedged
             try:
+                gate_task = asyncio.create_task(
+                    rpc(service.port, {"id": "gate", "rows": separable_rows(1, seed=799).tolist()})
+                )
+                await wait_for_state(
+                    lambda: service._inflight == 1, "the batcher to take the gate request"
+                )
                 # one request per connection: the NDJSON protocol is
                 # request/response sequential per connection, so concurrent
-                # in-flight requests (one coalesced batch) need 3 sockets
+                # in-flight requests (one batch) need 3 sockets
                 conns = [
                     await asyncio.open_connection("127.0.0.1", service.port)
                     for _ in range(3)
@@ -356,6 +366,11 @@ class TestReloadRace:
                             + b"\n"
                         )
                         await writer.drain()
+                    await wait_for_state(
+                        lambda: service.queue.qsize() == 3, "the racing requests to queue"
+                    )
+                    gate.set()
+                    assert (await gate_task)["artifact"] == v1
                     loop = asyncio.get_running_loop()
                     await loop.run_in_executor(None, entered.wait, 10)
                     # batch is wedged inside the executor: publish a new
@@ -378,6 +393,7 @@ class TestReloadRace:
                 # requests the batcher had not yet claimed score on the new one
                 assert [r["ok"] for r in answered] == [True] * 3
                 assert wedged_ids, "no batch was in flight during the swap"
+                assert len(wedged_ids) >= 2, "the wedged batch held a single request"
                 for r in answered:
                     expected = v1 if r["id"] in wedged_ids else v2
                     assert r["artifact"] == expected, r
@@ -389,6 +405,7 @@ class TestReloadRace:
                 assert r["ok"] and r["artifact"] == v2
                 assert service.stats.reloads == 1
             finally:
+                gate.set()
                 release.set()
                 await service.shutdown()
 

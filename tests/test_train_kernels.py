@@ -1,6 +1,6 @@
-"""Training-kernel equivalence: the optimized blocked and native kernels
-must be bit-identical to the kept-as-reference naive epoch across seeds,
-shuffles, and fault-injected corpora."""
+"""Training-kernel equivalence: the native kernel must be bit-identical to
+the kept-as-reference naive epoch across seeds, shuffles, and fault-injected
+corpora."""
 
 from __future__ import annotations
 
@@ -14,10 +14,11 @@ from repro.errors import ModelError
 from repro.faults import FaultPlan
 from repro.features import Normalizer, build_dataset
 from repro.ingest import load_corpus_pooled
-from repro.model import HashedPerceptron
-from repro.model.kernels import TrainPlan
+from repro.model import HashedPerceptron, _native
 
 GOLDEN = Path(__file__).resolve().parent / "fixtures" / "golden"
+
+needs_native = pytest.mark.skipif(not _native.available(), reason="no C compiler available")
 
 
 def blobs(n=120, d=24, gap=3.0, seed=0):
@@ -36,45 +37,50 @@ def blobs(n=120, d=24, gap=3.0, seed=0):
 def fit_pair(X, y, *, seed, epochs=12, theta=5.0, **kw):
     """Train one model per kernel from identical initial state."""
     out = {}
-    for kernel in ("reference", "blocked"):
+    for kernel in ("reference", "native"):
         model = HashedPerceptron(X.shape[1], theta=theta, seed=seed, **kw)
         history = model.fit(X, y, epochs=epochs, kernel=kernel)
-        out[kernel] = (model.weights.copy(), history)
+        out[kernel] = (model, history)
     return out
 
 
+@needs_native
 @pytest.mark.parametrize("seed", [0, 1, 7, 1234])
-def test_blocked_matches_reference_bitwise(seed):
+def test_native_kernel_matches_reference_bitwise(seed):
     X, y = blobs(seed=seed)
     pair = fit_pair(X, y, seed=seed)
-    ref_w, ref_h = pair["reference"]
-    blk_w, blk_h = pair["blocked"]
-    assert ref_h == blk_h, "update histories diverged"
-    np.testing.assert_array_equal(ref_w, blk_w)
+    ref, ref_h = pair["reference"]
+    nat, nat_h = pair["native"]
+    assert ref_h == nat_h, "update histories diverged"
+    np.testing.assert_array_equal(ref.weights, nat.weights)
+    np.testing.assert_array_equal(ref.decision(X), nat.decision(X))
 
 
-def test_blocked_matches_reference_under_shuffle_streams():
+@needs_native
+def test_native_matches_reference_under_shuffle_streams():
     """Different fit seeds draw different shuffle orders; every one of them
     must agree bit-for-bit between kernels."""
     X, y = blobs(seed=3)
     for fit_seed in (0, 5, 99):
         ref = HashedPerceptron(X.shape[1], theta=5.0, seed=11)
-        blk = HashedPerceptron(X.shape[1], theta=5.0, seed=11)
+        nat = HashedPerceptron(X.shape[1], theta=5.0, seed=11)
         ref_h = ref.fit(X, y, epochs=8, seed=fit_seed, kernel="reference")
-        blk_h = blk.fit(X, y, epochs=8, seed=fit_seed, kernel="blocked")
-        assert ref_h == blk_h
-        np.testing.assert_array_equal(ref.weights, blk.weights)
+        nat_h = nat.fit(X, y, epochs=8, seed=fit_seed, kernel="native")
+        assert ref_h == nat_h
+        np.testing.assert_array_equal(ref.weights, nat.weights)
 
 
+@needs_native
 def test_fit_epoch_kernels_agree_without_shuffle():
     X, y = blobs(seed=2)
     ref = HashedPerceptron(X.shape[1], theta=5.0, seed=4)
-    blk = HashedPerceptron(X.shape[1], theta=5.0, seed=4)
+    nat = HashedPerceptron(X.shape[1], theta=5.0, seed=4)
     ref_updates = ref.partial_fit(X, y, kernel="reference", shuffle=False)
-    assert blk.partial_fit(X, y, kernel="blocked", shuffle=False) == ref_updates
-    np.testing.assert_array_equal(ref.weights, blk.weights)
+    assert nat.partial_fit(X, y, kernel="native", shuffle=False) == ref_updates
+    np.testing.assert_array_equal(ref.weights, nat.weights)
 
 
+@needs_native
 @pytest.mark.parametrize(
     "faults",
     [
@@ -91,38 +97,10 @@ def test_kernels_agree_on_fault_injected_corpus(faults):
     dataset = build_dataset([r.trace for r in results])
     X = Normalizer().fit(dataset.X).transform(dataset.X)
     pair = fit_pair(X, dataset.y, seed=7, epochs=6)
-    ref_w, ref_h = pair["reference"]
-    blk_w, blk_h = pair["blocked"]
-    assert ref_h == blk_h
-    np.testing.assert_array_equal(ref_w, blk_w)
-
-
-def test_train_plan_preserves_index_multiset():
-    """CSR dedup must reproduce exactly the flat index multiset per sample —
-    that is what makes the fast update bit-identical to ``np.add.at``."""
-    X, _ = blobs(n=30, seed=9)
-    model = HashedPerceptron(X.shape[1], seed=9)
-    flat = model._flat_indices(X)
-    plan = TrainPlan.from_flat(flat)
-    for i in range(flat.shape[0]):
-        ui, cnt = plan.sample(i)
-        assert len(ui) == len(np.unique(flat[i]))
-        rebuilt = np.sort(np.repeat(ui, cnt))
-        np.testing.assert_array_equal(rebuilt, np.sort(flat[i]))
-        assert cnt.sum() == flat.shape[1]
-
-
-def test_plan_indices_computed_once_per_fit_are_reused():
-    """The permuted-row scratch is allocated once and reused across epochs."""
-    X, y = blobs(n=40, seed=1)
-    model = HashedPerceptron(X.shape[1], theta=5.0, seed=1)
-    flat = model._flat_indices(X)
-    plan = TrainPlan.from_flat(flat)
-    order = np.arange(len(y))
-    first = plan.permuted_rows(order)
-    second = plan.permuted_rows(order[::-1].copy())
-    assert first is second  # same buffer, rewritten in place
-    np.testing.assert_array_equal(second, flat[order[::-1]])
+    ref, ref_h = pair["reference"]
+    nat, nat_h = pair["native"]
+    assert ref_h == nat_h
+    np.testing.assert_array_equal(ref.weights, nat.weights)
 
 
 def test_unknown_kernel_is_a_typed_error():
@@ -134,31 +112,37 @@ def test_unknown_kernel_is_a_typed_error():
         model.partial_fit(X, y, kernel="warp")
 
 
-# -- native C kernel: same bits as the spec, or a typed refusal -------------
+def test_plan_indices_computed_once_per_fit_are_reused(monkeypatch):
+    """fit() hashes the rows into one TrainPlan and hands that same plan to
+    every epoch; no epoch recomputes the indices."""
+    X, y = blobs(n=40, seed=1)
+    model = HashedPerceptron(X.shape[1], theta=5.0, seed=1)
+    hashed, plans = [], []
+    flat_from_bins = HashedPerceptron._flat_from_bins
+    run_epoch = HashedPerceptron._run_online_epoch
+
+    def spy_hash(self, bins):
+        hashed.append(bins.shape)
+        return flat_from_bins(self, bins)
+
+    def spy_epoch(self, plan, y, order, kernel):
+        plans.append(plan)
+        return run_epoch(self, plan, y, order, kernel)
+
+    monkeypatch.setattr(HashedPerceptron, "_flat_from_bins", spy_hash)
+    monkeypatch.setattr(HashedPerceptron, "_run_online_epoch", spy_epoch)
+    history = model.fit(X, y, epochs=4)
+    assert len(history) >= 2
+    assert hashed == [X.shape]
+    assert len(plans) == len(history)
+    assert all(plan is plans[0] for plan in plans)
+    np.testing.assert_array_equal(plans[0].flat, model._flat_indices(X))
 
 
-def _native_available() -> bool:
-    from repro.model import _native
-
-    return _native.available()
-
-
-@pytest.mark.skipif(not _native_available(), reason="no C compiler available")
-@pytest.mark.parametrize("seed", [0, 7, 1234])
-def test_native_kernel_matches_reference_bitwise(seed):
-    X, y = blobs(seed=seed)
-    ref = HashedPerceptron(X.shape[1], theta=5.0, seed=seed)
-    nat = HashedPerceptron(X.shape[1], theta=5.0, seed=seed)
-    ref_h = ref.fit(X, y, epochs=12, kernel="reference")
-    nat_h = nat.fit(X, y, epochs=12, kernel="native")
-    assert ref_h == nat_h, "update histories diverged"
-    np.testing.assert_array_equal(ref.weights, nat.weights)
-    np.testing.assert_array_equal(ref.decision(X), nat.decision(X))
+# -- native C build: one compile per build dir, numpy paths agree -----------
 
 
 def _has_compiler() -> bool:
-    from repro.model import _native
-
     return _native._compiler() is not None
 
 
@@ -166,8 +150,6 @@ def _has_compiler() -> bool:
 def test_concurrent_first_native_load_waits_for_the_compile(tmp_path, monkeypatch):
     """Two threads racing the first load on an empty build dir must both get
     the library; neither may fall back to numpy while the other compiles."""
-    from repro.model import _native
-
     monkeypatch.setenv("REPRO_NATIVE_DIR", str(tmp_path))
     monkeypatch.delenv("REPRO_NATIVE", raising=False)
     monkeypatch.setattr(_native, "_lib", None)
@@ -189,12 +171,10 @@ def test_concurrent_first_native_load_waits_for_the_compile(tmp_path, monkeypatc
     assert len(list(tmp_path.glob("kernel_*.so"))) == 1
 
 
-@pytest.mark.skipif(not _native_available(), reason="no C compiler available")
+@needs_native
 def test_native_hash_and_margins_match_numpy_paths(monkeypatch):
     """The fused native hash/scoring routines must agree with the pure-numpy
     implementations bit-for-bit on the same trained weights."""
-    from repro.model import _native
-
     X, y = blobs(seed=5)
     model = HashedPerceptron(X.shape[1], theta=5.0, seed=9)
     model.fit(X, y, epochs=6)
@@ -206,12 +186,12 @@ def test_native_hash_and_margins_match_numpy_paths(monkeypatch):
     np.testing.assert_array_equal(model.decision(X), native_margins)
 
 
-@pytest.mark.skipif(not _native_available(), reason="no C compiler available")
+@needs_native
 def test_numpy_fallback_chunked_scoring_matches_one_shot_and_native(monkeypatch):
     """The numpy scoring path walks the rows in ``DEFAULT_BATCH_SIZE``
     chunks; shrinking the chunk runs that loop many times over a small
     matrix, and the margins must not move by a bit."""
-    from repro.model import _native, perceptron
+    from repro.model import perceptron
 
     X, y = blobs(n=50, seed=4)
     model = HashedPerceptron(X.shape[1], theta=5.0, seed=3)
@@ -225,11 +205,15 @@ def test_numpy_fallback_chunked_scoring_matches_one_shot_and_native(monkeypatch)
     np.testing.assert_array_equal(chunked, native_margins)
 
 
-def test_auto_kernel_resolves_to_a_real_kernel():
+def test_auto_kernel_resolves_to_a_real_kernel(monkeypatch):
     from repro.model.kernels import KERNEL_CHOICES, ONLINE_KERNELS, resolve_kernel
 
     resolved = resolve_kernel("auto")
     assert resolved in ONLINE_KERNELS
-    assert "auto" in KERNEL_CHOICES
+    assert resolved == ("native" if _native.available() else "reference")
+    assert KERNEL_CHOICES == ("auto", "native", "reference")
     with pytest.raises(ModelError):
         resolve_kernel("warp")
+    # without a native build the spec itself trains
+    monkeypatch.setattr(_native, "available", lambda: False)
+    assert resolve_kernel("auto") == "reference"

@@ -25,6 +25,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from repro.errors import TraceDecodeError  # noqa: E402
+from repro.ingest.loader import corpus_paths  # noqa: E402
 from repro.sim.trace import read_trace  # noqa: E402
 
 
@@ -35,7 +36,7 @@ def _class_key(trace) -> str:
 
 
 def audit(trace_dir: Path, decode_timeout_s: float) -> dict:
-    files = sorted(trace_dir.glob("**/*.pkl"))
+    files = corpus_paths(trace_dir)
     classes: dict[str, dict] = {}
     failures: list[dict] = []
     degraded = 0

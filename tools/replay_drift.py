@@ -20,6 +20,12 @@ the loop must detect the shift, promote at least one canary, finish at
 least ``--min-delta`` windowed accuracy above the frozen replay, and neither
 daemon may crash or drop a request.
 
+What does not depend on host speed: the final windowed accuracies of both
+runs, their delta, the detection latency and the artifact digests (base and
+promoted).  The replay is closed-loop, so the request pace decides when the
+retrained candidate gets promoted: ``first_promotion_at_trace`` and the
+accuracy windows between the shift and the promotion follow host speed.
+
 Usage::
 
     PYTHONPATH=src python tools/replay_drift.py [--quick]
