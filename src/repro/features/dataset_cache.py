@@ -22,6 +22,11 @@ Key composition (:meth:`DatasetCache.corpus_key`): a sha256 over
   sorted by path — unreadable files contribute a poison token instead of a
   digest, so a corpus with a vanishing file can never alias a healthy one.
 
+The files are the ones :func:`~repro.ingest.loader.corpus_files` finds, and
+the key carries that list: on a miss, :func:`assemble_corpus` loads exactly
+the files the key covers, so a file that lands after the sweep can never
+end up in an entry whose key does not cover it.
+
 Any byte change anywhere — a flipped payload byte, an added/removed/renamed
 file, a codec or cache schema bump, a different fault plan — therefore
 misses cleanly and falls back to cold assembly.  The sweep itself never
@@ -49,7 +54,8 @@ Entry layout (one directory per key, fanned out over 256 subdirectories)::
 Failure policy — identical to the decode cache: the tier must never make a
 run worse than no cache.  Entries are published by staging into a temp
 directory and atomically renaming it into place; reads verify schema
-versions, shard sizes, CRC-32s, shapes, and dtypes, and any mismatch deletes
+versions, and every ``.npy`` is written by :func:`_save_npy` and checked
+(size, CRC-32, shape, dtype) by :func:`_check_npy`; any mismatch deletes
 the entry (``dataset_cache.invalid`` event) and falls back to cold assembly;
 ``OSError`` anywhere degrades to cache-off behavior with an event.
 """
@@ -70,13 +76,13 @@ from pathlib import Path
 
 import numpy as np
 
-from ..cache import CACHE_VERSION
+from ..cache import CACHE_VERSION, CacheStats
 from ..errors import IngestError
 from ..faults import FaultPlan
-from ..ingest import load_corpus_pooled
+from ..ingest import CorpusFile, corpus_files, load_corpus_pooled
 from ..ingest.quarantine import QuarantineManifest
 from ..ingest.retry import RetryPolicy
-from ..sim.trace import TRACE_VERSION
+from ..sim.trace import TRACE_VERSION, family_key
 from ..telemetry import get_logger, log_event
 from .assemble import Dataset, build_dataset
 from .normalize import Normalizer
@@ -95,35 +101,22 @@ _SHARDS = (("X.npy", "float64"), ("y.npy", "int64"), ("groups.npy", "int64"))
 _HASH_CHUNK = 4 * 1024 * 1024
 
 
-@dataclass
-class DatasetCacheStats:
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    invalidated: int = 0
-    errors: int = 0
-
-    def to_json(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "invalidated": self.invalidated,
-            "errors": self.errors,
-        }
-
-
 @dataclass(frozen=True)
 class CorpusKey:
     """Digest of everything that can change what a corpus assembles to."""
 
     digest: str
-    files: int
     bytes: int
-    #: relpath -> sha256 hex of on-disk bytes ("" for unreadable files);
-    #: carried so a store can stamp per-trace payload hashes without
+    #: the files the digest covers, in load order: what a miss loads
+    walk: list[CorpusFile] = field(default_factory=list, hash=False, compare=False)
+    #: relpath -> sha256 hex of on-disk bytes (a poison token for unreadable
+    #: files); carried so a store can stamp per-trace payload hashes without
     #: re-reading the corpus
     file_digests: dict[str, str] = field(default_factory=dict, hash=False, compare=False)
+
+    @property
+    def files(self) -> int:
+        return len(self.walk)
 
 
 @dataclass(slots=True)
@@ -144,23 +137,14 @@ class TraceMeta:
         return self.label > 0
 
 
-@dataclass
-class CachedDataset:
-    """What a warm dataset-cache hit rehydrates."""
-
-    dataset: Dataset
-    quarantine: QuarantineManifest
-    ingest: dict
-
-
-def _file_digest(path: Path) -> tuple[str, str, int]:
-    """Worker task for the key sweep: (relpath placeholder, sha256 | poison,
-    size).  Never raises: an unreadable file poisons the key instead."""
+def _file_digest(path: str) -> tuple[str, int]:
+    """Worker task for the key sweep: (sha256 | poison, size).  Never
+    raises: an unreadable file poisons the key instead."""
     try:
         with open(path, "rb") as fh:
             data = fh.read(_HASH_CHUNK)
             if len(data) < _HASH_CHUNK:  # one-shot for small traces
-                return str(path), hashlib.sha256(data).hexdigest(), len(data)
+                return hashlib.sha256(data).hexdigest(), len(data)
             h = hashlib.sha256(data)
             size = len(data)
             while True:
@@ -170,49 +154,8 @@ def _file_digest(path: Path) -> tuple[str, str, int]:
                 h.update(chunk)
                 size += len(chunk)
     except OSError as exc:
-        return str(path), f"!unreadable:{type(exc).__name__}", 0
-    return str(path), h.hexdigest(), size
-
-
-def _scan_corpus(root: Path) -> list[tuple[str, str, os.stat_result | None]]:
-    """Walk the corpus once, returning ``(abs_path, relpath, stat | None)``
-    for every entry the ingest glob (:data:`~repro.ingest.loader.CORPUS_GLOB`,
-    ``**/*.pkl``) would visit: a scandir walk, one readdir per directory,
-    with stats reused for the memo."""
-    entries: list[tuple[str, str, os.stat_result | None]] = []
-    root_str = str(root)
-    # every walked path is prefix + relpath, so relpaths are a slice —
-    # os.path.relpath would cost ~5 µs/file of normpath work
-    prefix = root_str.rstrip(os.sep) + os.sep
-    cut = len(prefix)
-    stack = [root_str]
-    append = entries.append
-    while stack:
-        try:
-            it = os.scandir(stack.pop())
-        except OSError:
-            continue
-        with it:
-            for e in it:
-                try:
-                    is_dir = e.is_dir(follow_symlinks=False)
-                except OSError:
-                    is_dir = False
-                if is_dir:
-                    stack.append(e.path)
-                if e.name.endswith(".pkl"):
-                    try:
-                        st = e.stat()
-                    except OSError:
-                        st = None
-                    path = e.path
-                    rel = (
-                        path[cut:]
-                        if path.startswith(prefix)
-                        else os.path.relpath(path, root_str)
-                    )
-                    append((path, rel, st))
-    return entries
+        return f"!unreadable:{type(exc).__name__}", 0
+    return h.hexdigest(), size
 
 
 def _crc32_file(path: Path) -> int:
@@ -224,6 +167,44 @@ def _crc32_file(path: Path) -> int:
                 break
             crc = zlib.crc32(chunk, crc)
     return crc
+
+
+def _save_npy(path: Path, arr: np.ndarray) -> dict:
+    """Write ``arr`` to ``path`` (any name: ``np.save`` gets a file object,
+    so it appends no suffix) and return the meta :func:`_check_npy` checks
+    it against."""
+    with open(path, "wb") as fh:
+        np.save(fh, arr, allow_pickle=False)
+    return {
+        "bytes": path.stat().st_size,
+        "crc32": _crc32_file(path),
+        "shape": list(arr.shape),
+        "dtype": str(arr.dtype),
+    }
+
+
+def _check_npy(path: Path, meta, dtype: str) -> np.ndarray | str:
+    """The ``.npy`` at ``path`` memory-mapped, if it is what
+    :func:`_save_npy` recorded in ``meta`` with dtype ``dtype``; otherwise
+    the first check it fails.  ``OSError`` other than a missing file
+    propagates."""
+    if not isinstance(meta, dict):
+        return "unreferenced_in_manifest"
+    try:
+        size = path.stat().st_size
+    except FileNotFoundError:
+        return "missing"
+    if size != meta.get("bytes"):
+        return f"size_{size}_vs_{meta.get('bytes')}"
+    if _crc32_file(path) != meta.get("crc32"):
+        return "crc_mismatch"
+    try:
+        arr = np.load(path, mmap_mode="r", allow_pickle=False)
+    except ValueError:
+        return "unloadable"
+    if list(arr.shape) != meta.get("shape") or str(arr.dtype) != dtype:
+        return "shape_or_dtype_mismatch"
+    return arr
 
 
 def _fault_stamp(
@@ -247,7 +228,7 @@ class DatasetCache:
 
     def __init__(self, root):
         self.root = Path(root)
-        self.stats = DatasetCacheStats()
+        self.stats = CacheStats()
 
     # -- keys ------------------------------------------------------------
 
@@ -321,108 +302,96 @@ class DatasetCache:
         workers: int = 1,
     ) -> CorpusKey:
         """Digest the corpus without decoding it: a stat+hash sweep over
-        every file the ingest walk would visit.  Files whose ``(size,
-        mtime_ns)`` matches the per-corpus memo reuse the memoized sha256;
-        only changed files are re-hashed (serially at ``workers <= 1``, via
-        a thread pool otherwise).  When every file stat-matches and the memo
-        was written under the same key parameters, the memo's own corpus
-        digest is reused outright — the fully-warm sweep is one scandir walk
-        plus one stat per file."""
+        every file :func:`~repro.ingest.loader.corpus_files` finds.  Files
+        whose ``(size, mtime_ns)`` matches the per-corpus memo reuse the
+        memoized sha256; only changed files are re-hashed (serially at
+        ``workers <= 1``, via a thread pool otherwise).  When every file
+        stat-matches and the memo was written under the same key parameters,
+        the memo's own corpus digest is reused outright — the fully-warm
+        sweep is one scandir walk plus one stat per file."""
         header = (
             f"repro-dataset-cache:{DATASET_CACHE_VERSION}:{CACHE_VERSION}:"
             f"{TRACE_VERSION}:timeout={decode_timeout_s!r}:"
             f"{_fault_stamp(trace_dir, faults, retry_policy)}\n"
         )
         header_sha = hashlib.sha256(header.encode()).hexdigest()
-        root = Path(trace_dir)
-        scanned = _scan_corpus(root)
-        memo, cached = self._load_sweep_memo(root)
+        walk = corpus_files(trace_dir)
+        memo, cached = self._load_sweep_memo(trace_dir)
         fresh: dict[str, tuple[int, int, str]] = {}
         digests: dict[str, str] = {}
         total = 0
-        to_hash: list[tuple[str, str, os.stat_result | None]] = []
-        for path_str, rel, st in scanned:
+        to_hash: list[tuple[CorpusFile, os.stat_result | None]] = []
+        for file in walk:
+            try:
+                st = os.stat(file.path)
+            except OSError:
+                st = None
             if st is not None and stat_mod.S_ISREG(st.st_mode):
-                hit = memo.get(rel)
+                hit = memo.get(file.rel)
                 if hit is not None and hit[0] == st.st_size and hit[1] == st.st_mtime_ns:
-                    digests[rel] = hit[2]
-                    fresh[rel] = hit
+                    digests[file.rel] = hit[2]
+                    fresh[file.rel] = hit
                     total += st.st_size
                     continue
-            to_hash.append((path_str, rel, st))
+            to_hash.append((file, st))
         if (
             not to_hash
             and len(fresh) == len(memo)
             and cached is not None
             and cached[0] == header_sha
         ):
-            return CorpusKey(
-                digest=cached[1], files=len(scanned), bytes=total, file_digests=digests
-            )
+            return CorpusKey(digest=cached[1], bytes=total, walk=walk, file_digests=digests)
         if to_hash:
             if workers > 1 and len(to_hash) > 1:
                 n_threads = min(32, max(2, workers * 4))
                 with ThreadPoolExecutor(max_workers=n_threads) as pool:
-                    hashed = list(pool.map(_file_digest, (p for p, _, _ in to_hash)))
+                    hashed = list(pool.map(_file_digest, (f.path for f, _ in to_hash)))
             else:
-                hashed = [_file_digest(p) for p, _, _ in to_hash]
-            for (_, rel, st), (_, digest, size) in zip(to_hash, hashed):
-                digests[rel] = digest
+                hashed = [_file_digest(f.path) for f, _ in to_hash]
+            for (file, st), (digest, size) in zip(to_hash, hashed):
+                digests[file.rel] = digest
                 total += size
                 if (
                     st is not None
                     and stat_mod.S_ISREG(st.st_mode)
                     and not digest.startswith("!")
                 ):
-                    fresh[rel] = (st.st_size, st.st_mtime_ns, digest)
+                    fresh[file.rel] = (st.st_size, st.st_mtime_ns, digest)
         h = hashlib.sha256()
         h.update(header.encode())
         for relpath in sorted(digests):
             h.update(f"{relpath}\x00{digests[relpath]}\n".encode())
         key_digest = h.hexdigest()
         # the memoized corpus digest only covers memoizable content: every
-        # scanned file regular and hashed (no poison tokens, nothing skipped)
-        memoizable = len(fresh) == len(scanned)
+        # walked file regular and hashed (no poison tokens, nothing skipped)
+        memoizable = len(fresh) == len(walk)
         if fresh != memo or cached != (header_sha, key_digest):
             self._store_sweep_memo(
-                root, fresh, (header_sha, key_digest) if memoizable else None
+                trace_dir, fresh, (header_sha, key_digest) if memoizable else None
             )
-        return CorpusKey(
-            digest=key_digest, files=len(scanned), bytes=total, file_digests=digests
-        )
+        return CorpusKey(digest=key_digest, bytes=total, walk=walk, file_digests=digests)
 
     def entry_dir(self, digest: str) -> Path:
         return self.root / digest[:2] / digest
 
     # -- read ------------------------------------------------------------
 
-    def load(self, key: CorpusKey) -> CachedDataset | None:
-        """Rehydrate the cached assembly for ``key`` or None.  Any torn,
-        truncated, or stale entry is deleted and reported as a miss; the
-        caller falls back to cold assembly."""
+    def load(
+        self, key: CorpusKey
+    ) -> tuple[Dataset, QuarantineManifest, dict] | None:
+        """Rehydrate the cached assembly for ``key`` — ``(dataset,
+        quarantine, ingest summary)`` — or None.  Any torn, truncated, or
+        stale entry is deleted and reported as a miss; the caller falls back
+        to cold assembly."""
         entry = self.entry_dir(key.digest)
-        manifest_path = entry / MANIFEST_NAME
         try:
-            raw = manifest_path.read_text()
+            loaded = self._load_verified(entry, key)
         except FileNotFoundError:
             self.stats.misses += 1
             log_event(
                 logger, "dataset_cache.miss", level=logging.DEBUG, key=key.digest[:12]
             )
             return None
-        except OSError as exc:
-            self.stats.errors += 1
-            self.stats.misses += 1
-            log_event(
-                logger,
-                "dataset_cache.error",
-                op="read",
-                key=key.digest[:12],
-                error=type(exc).__name__,
-            )
-            return None
-        try:
-            loaded = self._load_verified(entry, key, raw)
         except OSError as exc:
             self.stats.errors += 1
             self.stats.misses += 1
@@ -439,19 +408,22 @@ class DatasetCache:
             self.stats.misses += 1
             return None
         self.stats.hits += 1
+        dataset = loaded[0]
         log_event(
             logger,
             "dataset_cache.hit",
             key=key.digest[:12],
-            traces=len(loaded.dataset.traces),
-            samples=loaded.dataset.n_samples,
+            traces=len(dataset.traces),
+            samples=dataset.n_samples,
         )
         return loaded
 
     def _load_verified(
-        self, entry: Path, key: CorpusKey, raw: str
-    ) -> CachedDataset | None:
-        """Parse + verify one entry; None means invalid (caller deletes)."""
+        self, entry: Path, key: CorpusKey
+    ) -> tuple[Dataset, QuarantineManifest, dict] | None:
+        """Parse + verify one entry; None means invalid (caller deletes).
+        A missing manifest raises ``FileNotFoundError``."""
+        raw = (entry / MANIFEST_NAME).read_text()
         try:
             doc = json.loads(raw)
         except ValueError:
@@ -471,18 +443,8 @@ class DatasetCache:
             return None
         arrays: dict[str, np.ndarray] = {}
         for name, dtype in _SHARDS:
-            meta = shards.get(name)
-            if not isinstance(meta, dict):
-                return None
-            path = entry / name
-            try:
-                size = path.stat().st_size
-            except FileNotFoundError:
-                return None
-            if size != meta.get("bytes") or _crc32_file(path) != meta.get("crc32"):
-                return None
-            arr = np.load(path, mmap_mode="r", allow_pickle=False)
-            if list(arr.shape) != meta.get("shape") or str(arr.dtype) != dtype:
+            arr = _check_npy(entry / name, shards.get(name), dtype)
+            if isinstance(arr, str):
                 return None
             arrays[name] = arr
         try:
@@ -519,7 +481,7 @@ class DatasetCache:
             traces=traces,
             skipped=skipped,
         )
-        return CachedDataset(dataset=dataset, quarantine=quarantine, ingest=ingest)
+        return dataset, quarantine, ingest
 
     # -- write -----------------------------------------------------------
 
@@ -537,7 +499,7 @@ class DatasetCache:
         instead of raising when the entry cannot be written.
 
         ``trace_paths`` maps each *input* trace index (``dataset.
-        source_indices`` values) to its source file path so per-trace payload
+        source_indices`` values) to its load path so per-trace payload
         hashes can be stamped from the key sweep without re-reading files.
         """
         entry = self.entry_dir(key.digest)
@@ -547,20 +509,12 @@ class DatasetCache:
                 return False  # someone already published this key
             shutil.rmtree(tmp, ignore_errors=True)
             tmp.mkdir(parents=True)
-            shards: dict[str, dict] = {}
-            for name, arr in (
-                ("X.npy", np.ascontiguousarray(dataset.X, dtype=np.float64)),
-                ("y.npy", np.ascontiguousarray(dataset.y, dtype=np.int64)),
-                ("groups.npy", np.ascontiguousarray(dataset.groups, dtype=np.int64)),
-            ):
-                path = tmp / name
-                np.save(path, arr, allow_pickle=False)
-                shards[name] = {
-                    "bytes": path.stat().st_size,
-                    "crc32": _crc32_file(path),
-                    "shape": list(arr.shape),
-                    "dtype": str(arr.dtype),
-                }
+            shards = {
+                name: _save_npy(tmp / name, np.ascontiguousarray(arr, dtype=dtype))
+                for (name, dtype), arr in zip(
+                    _SHARDS, (dataset.X, dataset.y, dataset.groups)
+                )
+            }
             doc = {
                 "dataset_cache_version": DATASET_CACHE_VERSION,
                 "cache_version": CACHE_VERSION,
@@ -569,7 +523,7 @@ class DatasetCache:
                 "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
                 "corpus": {"files": key.files, "bytes": key.bytes},
                 "shards": shards,
-                "traces": self._trace_docs(dataset, key, trace_paths, trace_dir),
+                "traces": self._trace_docs(dataset, key, trace_paths),
                 "skipped": [list(pair) for pair in dataset.skipped],
                 "quarantine": {
                     "root": quarantine.root,
@@ -619,21 +573,14 @@ class DatasetCache:
 
     @staticmethod
     def _trace_docs(
-        dataset: Dataset, key: CorpusKey, trace_paths: list[str] | None, trace_dir
+        dataset: Dataset, key: CorpusKey, trace_paths: list[str] | None
     ) -> list[list]:
         """Compact per-trace rows: [program, label, attack_class, interval,
         n_intervals, payload_sha256]."""
         shas: list[str] = [""] * len(dataset.traces)
-        if trace_paths is not None and dataset.source_indices is not None and trace_dir:
-            root = Path(trace_dir)
-            for k, src in enumerate(dataset.source_indices.tolist()):
-                if src >= len(trace_paths):
-                    continue
-                try:
-                    rel = str(Path(trace_paths[src]).relative_to(root))
-                except ValueError:
-                    rel = Path(trace_paths[src]).name
-                shas[k] = key.file_digests.get(rel, "")
+        if trace_paths is not None and dataset.source_indices is not None:
+            by_path = {f.path: key.file_digests.get(f.rel, "") for f in key.walk}
+            shas = [by_path.get(trace_paths[i], "") for i in dataset.source_indices.tolist()]
         return [
             [t.program, int(t.label), t.attack_class, int(t.interval), int(t.n_intervals), shas[k]]
             for k, t in enumerate(dataset.traces)
@@ -643,9 +590,8 @@ class DatasetCache:
     def _family_counts(dataset: Dataset) -> dict[str, dict]:
         out: dict[str, dict] = {}
         for t in dataset.traces:
-            family = (t.attack_class or t.program) if t.is_attack else t.program
             cell = out.setdefault(
-                family, {"kind": "attack" if t.is_attack else "benign", "traces": 0}
+                family_key(t), {"kind": "attack" if t.is_attack else "benign", "traces": 0}
             )
             cell["traces"] += 1
         return {k: out[k] for k in sorted(out)}
@@ -763,22 +709,16 @@ class DatasetCache:
             self._drop_normalized(meta_path, npy_path, key)
             return None
         arr = None
-        try:
-            ok = (
-                isinstance(meta, dict)
-                and meta.get("dataset_cache_version") == DATASET_CACHE_VERSION
-                and meta.get("shape") == list(shape)
-                and meta.get("dtype") == "float64"
-                and npy_path.stat().st_size == meta.get("bytes")
-                and _crc32_file(npy_path) == meta.get("crc32")
-            )
-            if ok:
-                arr = np.load(npy_path, mmap_mode="r", allow_pickle=False)
-                if arr.shape != tuple(shape) or str(arr.dtype) != "float64":
-                    arr = None
-        except (OSError, ValueError):
-            arr = None
-        if arr is None:
+        if (
+            isinstance(meta, dict)
+            and meta.get("dataset_cache_version") == DATASET_CACHE_VERSION
+            and meta.get("shape") == list(shape)
+        ):
+            try:
+                arr = _check_npy(npy_path, meta, "float64")
+            except OSError:
+                pass
+        if not isinstance(arr, np.ndarray):
             self._drop_normalized(meta_path, npy_path, key)
             return None
         log_event(
@@ -815,14 +755,9 @@ class DatasetCache:
         npy_tmp = entry / f".{base}.npy.{os.getpid()}.tmp"
         meta_tmp = entry / f".{base}.json.{os.getpid()}.tmp"
         try:
-            with open(npy_tmp, "wb") as fh:
-                np.save(fh, np.ascontiguousarray(X_all, dtype=np.float64), allow_pickle=False)
             meta = {
                 "dataset_cache_version": DATASET_CACHE_VERSION,
-                "bytes": npy_tmp.stat().st_size,
-                "crc32": _crc32_file(npy_tmp),
-                "shape": list(X_all.shape),
-                "dtype": "float64",
+                **_save_npy(npy_tmp, np.ascontiguousarray(X_all, dtype=np.float64)),
             }
             os.replace(npy_tmp, npy_path)
             meta_tmp.write_text(json.dumps(meta, sort_keys=True) + "\n")
@@ -894,24 +829,12 @@ def entry_problems(entry_dir) -> list[str]:
     referenced = {MANIFEST_NAME}
     for name, dtype in _SHARDS:
         referenced.add(name)
-        meta = shards.get(name)
-        path = entry / name
-        if not isinstance(meta, dict):
-            problems.append(f"{name}:unreferenced_in_manifest")
-            continue
         try:
-            size = path.stat().st_size
-        except FileNotFoundError:
-            problems.append(f"{name}:missing")
-            continue
+            checked = _check_npy(entry / name, shards.get(name), dtype)
         except OSError as exc:
-            problems.append(f"{name}:unreadable:{type(exc).__name__}")
-            continue
-        if size != meta.get("bytes"):
-            problems.append(f"{name}:size_{size}_vs_{meta.get('bytes')}")
-            continue
-        if _crc32_file(path) != meta.get("crc32"):
-            problems.append(f"{name}:crc_mismatch")
+            checked = f"unreadable:{type(exc).__name__}"
+        if isinstance(checked, str):
+            problems.append(f"{name}:{checked}")
     for child in entry.iterdir():
         if child.name in referenced or child.name.startswith(
             ("normalizer_", "normalized_")
@@ -959,10 +882,11 @@ def assemble_corpus(
     """Resolve a corpus directory to an assembled :class:`Dataset`.
 
     With ``dataset_cache_root`` set, a warm corpus short-circuits the whole
-    decode+assemble path through one mmap load; a miss falls through to the
-    usual :func:`load_corpus_pooled` + :func:`build_dataset` walk and then
-    publishes the result for the next run.  Raises :class:`IngestError` when
-    the corpus has no decodable traces (same contract as the pipeline).
+    decode+assemble path through one mmap load; a miss hands the files the
+    key swept to :func:`load_corpus_pooled`, assembles them with
+    :func:`build_dataset` and publishes the result for the next run.
+    Raises :class:`IngestError` when the corpus has no decodable traces
+    (same contract as the pipeline).
     """
     t0 = time.monotonic()
     cache = DatasetCache(dataset_cache_root) if dataset_cache_root is not None else None
@@ -977,12 +901,13 @@ def assemble_corpus(
         )
         cached = cache.load(key)
         if cached is not None:
+            dataset, quarantine, ingest = cached
             if quarantine_path is not None:
-                cached.quarantine.write(quarantine_path)
+                quarantine.write(quarantine_path)
             return CorpusAssembly(
-                dataset=cached.dataset,
-                quarantine=cached.quarantine,
-                ingest=cached.ingest,
+                dataset=dataset,
+                quarantine=quarantine,
+                ingest=ingest,
                 decode_cache_hits=None,
                 dataset_cache={"enabled": True, "hit": True, "key": key.digest[:12]},
                 ingest_s=time.monotonic() - t0,
@@ -992,6 +917,8 @@ def assemble_corpus(
 
     results, quarantine = load_corpus_pooled(
         trace_dir,
+        # a miss loads exactly the files the key covers
+        paths=None if key is None else [f.path for f in key.walk],
         workers=workers,
         retry_policy=retry_policy,
         decode_timeout_s=decode_timeout_s,

@@ -1,19 +1,21 @@
-"""The corpus loader: reads trace-cache files with retry, per-file decode
-timeouts, fault injection, optional content-addressed caching, and
-skip-and-continue quarantine semantics."""
+"""The corpus walk and the per-file loader: :func:`corpus_files` finds a
+corpus's files; :class:`TraceLoader` reads one with retry, a decode timeout,
+fault injection, and optional content-addressed caching.  The corpus-level
+loop that quarantines failures is
+:func:`repro.ingest.pool.load_corpus_pooled`."""
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, NamedTuple
 
-from ..errors import RetryExhausted, TraceDecodeError
 from ..faults import FaultInjector, FaultPlan
 from ..sim.trace import DecodeReport, Trace, decode_trace
 from ..telemetry import get_logger, log_event
-from .quarantine import QuarantineManifest
 from .retry import RetryPolicy, retry_call
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -21,15 +23,50 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 logger = get_logger("repro.ingest")
 
-#: the corpus layout: every ``.pkl`` file at any depth under the corpus root,
-#: so flat corpora and the payload-hash-sharded layout ``repro.gen`` writes
-#: (``shard_xx/*.pkl``) load alike
-CORPUS_GLOB = "**/*.pkl"
+
+class CorpusFile(NamedTuple):
+    """One file found by :func:`corpus_files`."""
+
+    #: spelled as ``Path(root).glob`` spells it: fault decisions, quarantine
+    #: entries and load results key on this string
+    path: str
+    #: relative to the corpus root: the dataset-cache key names files by it
+    rel: str
 
 
-def corpus_paths(root) -> list[Path]:
-    """Every corpus file under ``root``, in load order."""
-    return sorted(Path(root).glob(CORPUS_GLOB))
+def corpus_files(root) -> list[CorpusFile]:
+    """Every corpus file under ``root``, in load order: each ``.pkl`` entry
+    at any depth, so flat corpora and the payload-hash-sharded layout
+    ``repro.gen`` writes (``shard_xx/*.pkl``) load alike.
+
+    One ``scandir`` walk that finds, spells and orders paths exactly as
+    ``sorted(Path(root).glob("**/*.pkl"))`` does: hidden entries and
+    directories named ``*.pkl`` match too, symlinked directories are not
+    descended, and visiting each directory's entries by name, a directory's
+    own match before its contents, is ``Path``'s part-by-part order."""
+    base = str(Path(root))
+    prefix = "" if base == "." else base.rstrip(os.sep) + os.sep
+    found: list[CorpusFile] = []
+
+    def visit(rel_dir: str) -> None:
+        try:
+            with os.scandir(prefix + rel_dir or ".") as it:
+                entries = sorted(it, key=attrgetter("name"))
+        except OSError:
+            return
+        for entry in entries:
+            rel = rel_dir + entry.name
+            if entry.name.endswith(".pkl"):
+                found.append(CorpusFile(prefix + rel, rel))
+            try:
+                is_dir = entry.is_dir(follow_symlinks=False)
+            except OSError:
+                is_dir = False
+            if is_dir:
+                visit(rel + os.sep)
+
+    visit("")
+    return found
 
 
 @dataclass
@@ -42,14 +79,14 @@ class LoadResult:
 
 
 class TraceLoader:
-    """Walks a trace-cache directory and yields decoded traces.
+    """Loads one trace-cache file at a time.
 
     Failure policy:
 
     - ``OSError`` while reading bytes is treated as transient and retried
-      with exponential backoff; exhaustion quarantines the file.
-    - :class:`TraceDecodeError` (any subclass) is permanent: the file is
-      quarantined immediately, never retried.
+      with exponential backoff; exhaustion raises :class:`RetryExhausted`.
+    - :class:`TraceDecodeError` (any subclass) is permanent: it is raised
+      at once, never retried.
     - Anything else is a bug and propagates.
 
     When a :class:`~repro.cache.FeatureCache` is attached, the loader keys it
@@ -60,20 +97,16 @@ class TraceLoader:
 
     def __init__(
         self,
-        root,
         *,
         retry_policy: RetryPolicy | None = None,
         decode_timeout_s: float = 10.0,
         faults: FaultPlan | None = None,
         cache: "FeatureCache | None" = None,
     ):
-        self.root = Path(root)
         self.retry_policy = retry_policy or RetryPolicy()
         self.decode_timeout_s = decode_timeout_s
         self.injector = FaultInjector(faults) if faults and faults.active else None
         self.cache = cache
-
-    # -- single file -----------------------------------------------------
 
     def _read_bytes(self, path: Path) -> bytes:
         def attempt(n: int) -> bytes:
@@ -111,42 +144,3 @@ class TraceLoader:
         if self.cache is not None and key is not None:
             self.cache.put(key, trace, report)
         return LoadResult(path=str(path), trace=trace, report=report)
-
-    # -- whole corpus ----------------------------------------------------
-
-    def iter_corpus(self, quarantine: QuarantineManifest) -> Iterator[LoadResult]:
-        """Yield a ``LoadResult`` per decodable file; quarantine the rest."""
-        for path in corpus_paths(self.root):
-            try:
-                result = self.load(path)
-            except (TraceDecodeError, RetryExhausted) as exc:
-                entry = quarantine.add(str(path), exc)
-                log_event(
-                    logger,
-                    "ingest.quarantine",
-                    path=path.name,
-                    code=entry.code,
-                    error=entry.error,
-                )
-                continue
-            if result.report.degraded:
-                log_event(
-                    logger,
-                    "ingest.degraded",
-                    path=path.name,
-                    mode=result.report.mode,
-                    notes=";".join(result.report.notes) or "-",
-                )
-            yield result
-
-    def load_corpus(self) -> tuple[list[LoadResult], QuarantineManifest]:
-        quarantine = QuarantineManifest(root=str(self.root))
-        results = list(self.iter_corpus(quarantine))
-        log_event(
-            logger,
-            "ingest.done",
-            root=str(self.root),
-            loaded=len(results),
-            quarantined=len(quarantine),
-        )
-        return results, quarantine

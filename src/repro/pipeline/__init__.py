@@ -33,6 +33,7 @@ from ..model import (
     trace_verdicts,
     train_ensemble,
 )
+from ..sim.trace import family_key
 from ..telemetry import get_logger, log_event, span
 
 logger = get_logger("repro.pipeline")
@@ -75,21 +76,9 @@ class PipelineConfig:
 
 
 def _class_key(trace) -> str:
-    if trace.is_attack:
-        return trace.attack_class or trace.program
-    return f"benign:{trace.program}"
-
-
-def _family_key(trace) -> str:
-    """Attack-family label for per-family evaluation.
-
-    Attacks group by ``attack_class`` (the generator stamps the family name
-    there; the real corpus carries its capture class), benign traces by
-    workload program — both survive the salvage decoder, unlike ``meta``.
-    """
-    if trace.is_attack:
-        return trace.attack_class or trace.program
-    return trace.program
+    """Stratification class for the train/test split: the family, with
+    benign programs kept apart from attack families of the same name."""
+    return family_key(trace) if trace.is_attack else f"benign:{trace.program}"
 
 
 def _margin_stats(margins: np.ndarray) -> dict:
@@ -115,17 +104,17 @@ def per_family_metrics(
     """Per-family accuracy / false-positive-or-miss rate / margin
     distributions over the held-out traces.
 
-    Families come from :func:`_family_key`; benign families report
-    ``false_positive_rate`` (flagged-as-attack fraction), attack families
-    ``miss_rate`` (1 - recall).  ``margins`` summarizes the per-trace mean
-    ensemble margin — the detector's confidence — for that family's test
-    traces.
+    Families come from :func:`~repro.sim.trace.family_key`; benign families
+    report ``false_positive_rate`` (flagged-as-attack fraction), attack
+    families ``miss_rate`` (1 - recall).  ``margins`` summarizes the
+    per-trace mean ensemble margin — the detector's confidence — for that
+    family's test traces.
     """
     cells: dict[str, dict] = {}
     members: dict[str, list[int]] = {}
     for t in sorted(int(i) for i in test_idx):
         trace = traces[t]
-        key = _family_key(trace)
+        key = family_key(trace)
         cell = cells.setdefault(
             key,
             {"kind": "attack" if trace.is_attack else "benign", "tested": 0, "correct": 0},

@@ -39,7 +39,7 @@ import numpy as np
 from ..errors import BadRequest, ReproError, TraceDecodeError
 from ..ingest.quarantine import QuarantineManifest
 from ..model import LoadedArtifact, trace_verdicts
-from ..sim.trace import decode_trace
+from ..sim.trace import decode_trace, family_key
 from ..telemetry import get_logger, log_event
 
 logger = get_logger("repro.serve.scorer")
@@ -160,7 +160,7 @@ class RequestScorer:
                 blob, path=f"request:{req.req_id}", deadline=deadline
             )
             if req.family is None:
-                req.family = trace.attack_class or trace.program
+                req.family = family_key(trace)
             return np.asarray(trace.rows, dtype=np.float64), {
                 "decode_mode": report.mode,
                 "degraded": report.degraded,

@@ -93,6 +93,18 @@ class Trace:
         )
 
 
+def family_key(trace) -> str:
+    """A trace's family, for per-family evaluation, dataset-cache manifests
+    and served answers: attacks group by ``attack_class`` (the generator
+    stamps the family name there; the real corpus carries its capture
+    class), benign traces by workload program — both survive the salvage
+    decoder, unlike ``meta``.  Takes a :class:`Trace` or anything with its
+    ``is_attack``, ``attack_class`` and ``program``."""
+    if trace.is_attack:
+        return trace.attack_class or trace.program
+    return trace.program
+
+
 @dataclass
 class DecodeReport:
     """How a trace was decoded and how much of it survived."""

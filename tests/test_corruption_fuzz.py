@@ -16,7 +16,7 @@ import pytest
 
 from conftest import write_synthetic_corpus
 from repro.errors import TraceDecodeError
-from repro.ingest import QuarantineManifest, TraceLoader
+from repro.ingest import QuarantineManifest, load_corpus_pooled
 from repro.sim.trace import decode_trace
 
 #: files fuzzed per run; the corpus is sampled with a stride so multiple
@@ -93,8 +93,7 @@ def test_ingest_quarantines_instead_of_crashing(tmp_path, fuzz_targets):
     for name, payload in bad_variants.items():
         (corpus / name).write_bytes(payload)
 
-    loader = TraceLoader(corpus, decode_timeout_s=DECODE_BUDGET_S)
-    results, manifest = loader.load_corpus()
+    results, manifest = load_corpus_pooled(corpus, decode_timeout_s=DECODE_BUDGET_S)
 
     assert len(results) >= len(good)  # every clean file survived
     assert isinstance(manifest, QuarantineManifest)

@@ -82,9 +82,9 @@ def test_all_faulty_corpus_raises_ingest_error(tmp_path):
 def test_split_is_stratified_and_leak_free(tmp_path):
     corpus = tmp_path / "corpus"
     write_synthetic_corpus(corpus, n_benign=6, n_attack=6)
-    from repro.ingest import TraceLoader
+    from repro.ingest import load_corpus_pooled
 
-    results, _ = TraceLoader(corpus).load_corpus()
+    results, _ = load_corpus_pooled(corpus)
     traces = [r.trace for r in results]
     train, test = split_traces(traces, test_frac=0.3, seed=0)
     assert set(train) & set(test) == set()

@@ -18,12 +18,12 @@ import pytest
 
 from conftest import make_trace, wait_for_state
 from repro.features import Normalizer, build_dataset
-from repro.ingest import TraceLoader
+from repro.ingest import load_corpus_pooled
 from repro.model import ArtifactStore, HashedPerceptron, margin_scales, trace_verdicts
-from repro.pipeline import PipelineConfig, _family_key, _margin_stats, run_pipeline, split_traces
+from repro.pipeline import PipelineConfig, _margin_stats, run_pipeline, split_traces
 from repro.pipeline.__main__ import main as pipeline_main
 from repro.serve import ScoringService, ServeConfig
-from repro.sim.trace import decode_trace, encode_trace
+from repro.sim.trace import decode_trace, encode_trace, family_key
 
 GOLDEN_CONFIG = {"test_frac": 0.3, "epochs": 8, "seed": 7, "n_models": 2, "theta": 5.0}
 
@@ -592,7 +592,7 @@ class TestMetricsParity:
         metrics = json.loads((out / "metrics.json").read_text())["metrics"]
 
         # the pipeline's own load order and split name the held-out files
-        results, _ = TraceLoader(corpus).load_corpus()
+        results, _ = load_corpus_pooled(corpus)
         dataset = build_dataset([r.trace for r in results])
         _, test_idx = split_traces(
             dataset.traces, GOLDEN_CONFIG["test_frac"], GOLDEN_CONFIG["seed"]
@@ -624,7 +624,7 @@ class TestMetricsParity:
 
         families: dict[str, list[float]] = {}
         for t in sorted(test_idx):
-            families.setdefault(_family_key(traces[t]), []).append(served[t]["margin"])
+            families.setdefault(family_key(traces[t]), []).append(served[t]["margin"])
         assert sorted(families) == sorted(metrics["per_family"])
         mismatched = [
             family

@@ -73,6 +73,24 @@ def test_fmt_event_field_order_and_quoting():
     assert line == "event=x.y b=2 a='has space'"
 
 
+def test_disabled_log_event_never_formats_its_fields(capsys):
+    """An event below the logger's level costs nothing: its fields are never
+    rendered, so per-trace DEBUG events are free at the default INFO."""
+    telemetry.reset_logging()
+    logger = telemetry.get_logger("repro.lazy_check")
+
+    class Unprintable:
+        def __str__(self):
+            raise AssertionError("a disabled event formatted its fields")
+
+    assert logger.getEffectiveLevel() == logging.INFO
+    telemetry.log_event(logger, "lazy.debug", level=logging.DEBUG, field=Unprintable())
+    telemetry.log_event(logger, "lazy.info", n=1)
+    err = capsys.readouterr().err
+    assert "event=lazy.debug" not in err
+    assert "event=lazy.info n=1" in err
+
+
 # -- span ------------------------------------------------------------------
 
 

@@ -25,18 +25,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from repro.errors import TraceDecodeError  # noqa: E402
-from repro.ingest.loader import corpus_paths  # noqa: E402
+from repro.ingest import corpus_files  # noqa: E402
+from repro.pipeline import _class_key  # noqa: E402
 from repro.sim.trace import read_trace  # noqa: E402
 
 
-def _class_key(trace) -> str:
-    if trace.is_attack:
-        return trace.attack_class or trace.program
-    return f"benign:{trace.program}"
-
-
 def audit(trace_dir: Path, decode_timeout_s: float) -> dict:
-    files = corpus_paths(trace_dir)
+    files = [Path(f.path) for f in corpus_files(trace_dir)]
     classes: dict[str, dict] = {}
     failures: list[dict] = []
     degraded = 0

@@ -45,7 +45,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from repro.errors import ReproError  # noqa: E402
-from repro.ingest.loader import corpus_paths  # noqa: E402
+from repro.ingest import corpus_files  # noqa: E402
 from repro.model import ArtifactStore  # noqa: E402
 from repro.telemetry import get_logger, log_event  # noqa: E402
 
@@ -78,8 +78,8 @@ def ensure_artifact(root: Path, trace_dir: Path, out_dir: Path) -> None:
 
 def load_payloads(trace_dir: Path) -> list[str]:
     payloads = [
-        base64.b64encode(path.read_bytes()).decode()
-        for path in corpus_paths(trace_dir)
+        base64.b64encode(Path(f.path).read_bytes()).decode()
+        for f in corpus_files(trace_dir)
     ]
     if not payloads:
         raise SystemExit(f"no trace files under {trace_dir}")

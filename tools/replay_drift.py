@@ -55,6 +55,7 @@ from repro.errors import ReproError  # noqa: E402
 from repro.features import Normalizer, build_dataset  # noqa: E402
 from repro.gen.shift import load_schedule  # noqa: E402
 from repro.model import ArtifactStore, HashedPerceptron, margin_scales, train_ensemble  # noqa: E402
+from repro.sim.trace import family_key  # noqa: E402
 from repro.telemetry import get_logger, log_event  # noqa: E402
 
 logger = get_logger("repro.tools.replay_drift")
@@ -264,7 +265,7 @@ async def replay_stream(
                 "id": f"t{index}",
                 "rows": np.asarray(trace.rows, dtype=np.float64).tolist(),
                 "label": int(trace.label),
-                "family": trace.attack_class or trace.program,
+                "family": family_key(trace),
             }
             writer.write(json.dumps(doc).encode() + b"\n")
             await writer.drain()
