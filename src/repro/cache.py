@@ -36,7 +36,7 @@ import logging
 import os
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .sim.salvage import SalvageReport
@@ -173,17 +173,7 @@ class FeatureCache:
             return False
         rep: dict = {"mode": report.mode, "notes": list(report.notes)}
         if report.salvage is not None:
-            # int()/bool(): salvage counters can be numpy scalars
-            rep["salvage"] = {
-                "expected_floats": int(report.salvage.expected_floats),
-                "recovered_floats": int(report.salvage.recovered_floats),
-                "nan_floats": int(report.salvage.nan_floats),
-                "resyncs": int(report.salvage.resyncs),
-                "bytes_dropped": int(report.salvage.bytes_dropped),
-                "truncated": bool(report.salvage.truncated),
-                "clean": bool(report.salvage.clean),
-                "notes": [str(n) for n in report.salvage.notes],
-            }
+            rep["salvage"] = asdict(report.salvage)
         doc = json.dumps(
             {"cache_version": CACHE_VERSION, "crc32": zlib.crc32(body), "report": rep},
             sort_keys=True,

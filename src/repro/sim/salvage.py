@@ -13,6 +13,16 @@ first implausible chunk it searches a small window of "bytes dropped here" /
 "frame header inserted here" hypotheses, scoring each by how many of the
 following floats become plausible again.  Unrecoverable values are emitted
 as NaN so the feature layer can impute them; they are never invented.
+
+The decode is linear in the buffer.  Before the walk, the buffer is decoded
+once at each of the 8 byte offsets, in bounded chunks, into two uint8
+tables with one entry per byte position, stored lane by lane (the entries
+for positions ``o, o+8, o+16, ...`` sit next to each other): whether the
+float starting there is plausible, and how many of the ``_LOOKAHEAD``
+floats starting there are.  A plausible run is then one ``bytearray.find``
+for the next zero along the current lane, which costs O(its length), and
+each resync hypothesis is one lookup in the score table.  Peak memory is
+about three times the buffer: the output and the two tables.
 """
 
 from __future__ import annotations
@@ -34,6 +44,10 @@ _ABS_MAX = 1e15
 #:  -8  -> an 8-byte pickle frame header was inserted into the stream
 _SHIFTS = (1, 2, 3, 4, 5, 6, 7, -8, 8, 9, 10, 11, 12)
 _LOOKAHEAD = 6
+
+#: floats per plausibility batch while building the tables; bounds the
+#: float64 and bool temporaries to about 100 KB whatever the buffer size
+_TABLE_CHUNK = 1 << 13
 
 
 @dataclass
@@ -73,22 +87,42 @@ def _plausible(values: np.ndarray) -> np.ndarray:
     return np.isfinite(values) & ((values == 0.0) | ((a >= _ABS_MIN) & (a <= _ABS_MAX)))
 
 
-def _decode_at(buf: bytes, pos: int, count: int) -> np.ndarray:
-    if pos < 0 or pos >= len(buf):
-        return np.empty(0, dtype=np.float64)
-    avail = (len(buf) - pos) // 8
-    n = min(count, max(avail, 0))
-    if n <= 0:
-        return np.empty(0, dtype=np.float64)
-    return np.frombuffer(buf, dtype="<f8", count=n, offset=pos)
-
-
 def _score_alignment(buf: bytes, pos: int) -> int:
     """How many of the next ``_LOOKAHEAD`` floats at ``pos`` look sane."""
-    chunk = _decode_at(buf, pos, _LOOKAHEAD)
-    if chunk.size == 0:
+    n = min(_LOOKAHEAD, (len(buf) - pos) // 8) if 0 <= pos else 0
+    if n <= 0:
         return 0
-    return int(_plausible(chunk).sum())
+    return int(_plausible(np.frombuffer(buf, dtype="<f8", count=n, offset=pos)).sum())
+
+
+def _lane_tables(buf: bytes) -> tuple[bytearray, bytearray, int]:
+    """Plausibility and lookahead-score tables for every byte position.
+
+    Byte position ``p`` lives at index ``(p % 8) * stride + p // 8`` of both
+    tables.  Each lane ends in at least ``_LOOKAHEAD`` zeros, so a float with
+    fewer than ``_LOOKAHEAD`` floats after it scores only those that exist,
+    and positions with no whole float left read as implausible and score 0.
+    """
+    n = len(buf)
+    stride = n // 8 + _LOOKAHEAD
+    plausible = bytearray(8 * stride)
+    scores = bytearray(8 * stride)
+    plausible_u8 = np.frombuffer(plausible, dtype=np.uint8)
+    scores_u8 = np.frombuffer(scores, dtype=np.uint8)
+    for offset in range(min(8, n)):
+        base = offset * stride
+        floats = (n - offset) // 8
+        for i in range(0, floats, _TABLE_CHUNK):
+            k = min(_TABLE_CHUNK, floats - i)
+            chunk = np.frombuffer(buf, dtype="<f8", count=k, offset=offset + 8 * i)
+            plausible_u8[base + i : base + i + k] = _plausible(chunk)
+    # windows starting in a lane's last _LOOKAHEAD - 1 entries run into the
+    # next lane; no position inside the buffer maps to those entries
+    window = scores_u8[: scores_u8.size - _LOOKAHEAD + 1]
+    window[:] = plausible_u8[: window.size]
+    for k in range(1, _LOOKAHEAD):
+        window += plausible_u8[k : k + window.size]
+    return plausible, scores, stride
 
 
 def salvage_f64(
@@ -106,6 +140,8 @@ def salvage_f64(
     """
     report = SalvageReport(expected_floats=count)
     out = np.full(count, np.nan, dtype=np.float64)
+    size = len(buf)
+    plausible, scores, stride = _lane_tables(buf)
     pos = 0
     emitted = 0
 
@@ -114,35 +150,36 @@ def salvage_f64(
             raise DecodeTimeout(
                 f"salvage exceeded deadline after {emitted}/{count} floats"
             )
-        chunk = _decode_at(buf, pos, count - emitted)
-        if chunk.size == 0:
+        n = min(count - emitted, (size - pos) // 8) if 0 <= pos else 0
+        if n <= 0:
             break
-        ok = _plausible(chunk)
-        bad = np.argmin(ok) if not ok.all() else chunk.size
-        if bad > 0:
-            out[emitted : emitted + bad] = chunk[:bad]
-            emitted += bad
-            pos += 8 * bad
-        if ok.all():
-            if emitted >= count:
-                break
-            # plausible prefix consumed the whole buffer
-            pos = len(buf)
+        at = (pos & 7) * stride + (pos >> 3)
+        bad = plausible.find(0, at, at + n)
+        good = n if bad < 0 else bad - at
+        if good > 0:
+            out[emitted : emitted + good] = np.frombuffer(buf, dtype="<f8", count=good, offset=pos)
+            emitted += good
+            pos += 8 * good
+        if bad < 0:
+            # the plausible run filled the output or reached the buffer's end
             break
 
-        # chunk[bad] is implausible: the current float is damaged.  Search
-        # resync hypotheses; the damaged float itself is unrecoverable.
+        # the float at pos is implausible: it is damaged.  Search resync
+        # hypotheses; the damaged float itself is unrecoverable.
         report.clean = False
         report.resyncs += 1
         best_shift, best_score = None, -1
-        base_score = _score_alignment(buf, pos + 8)
+        base = pos + 8
+        base_score = scores[(base & 7) * stride + (base >> 3)] if base < size else 0
         for shift in _SHIFTS:
             nxt = pos + 8 - shift if shift > 0 else pos + 8 + (-shift)
-            if nxt > len(buf):
+            if nxt > size:
                 continue
-            score = _score_alignment(buf, nxt)
+            score = scores[(nxt & 7) * stride + (nxt >> 3)] if 0 <= nxt < size else 0
             if score > best_score:
                 best_shift, best_score = shift, score
+                if score == _LOOKAHEAD:
+                    break  # no later hypothesis can score higher
         if best_shift is None or best_score <= base_score:
             # no hypothesis beats "just a weird value in place": skip one
             # float, keep alignment.

@@ -48,6 +48,10 @@ _LANDMARK_WINDOW = 96
 _MAX_DIM = 1_000_000
 _MAX_CELLS = 64 * 1024 * 1024  # 512 MB of float64 -- decode bomb guard
 
+#: printable ASCII; deleting these from a byte string leaves it empty
+#: exactly when every byte in it is printable
+_PRINTABLE = bytes(range(0x20, 0x7F))
+
 
 # ---------------------------------------------------------------------------
 # the record
@@ -264,7 +268,7 @@ def _ascii(data: bytes, start: int, length: int, what: str) -> str:
     raw = data[start : start + length]
     if len(raw) < length:
         raise TruncatedTrace(f"trace body ends inside {what}")
-    if not all(0x20 <= b < 0x7F for b in raw):
+    if raw.translate(None, _PRINTABLE):
         raise SchemaMismatch(f"{what} contains non-printable bytes")
     return raw.decode("ascii")
 
@@ -317,7 +321,7 @@ def _name_at(data: bytes, p: int) -> str | None:
     if not (1 <= c <= 0x7F):
         return None
     raw = data[p + 1 : p + 1 + c]
-    if len(raw) < c or not all(0x20 <= b < 0x7F for b in raw):
+    if len(raw) < c or raw.translate(None, _PRINTABLE):
         return None
     return raw.decode("ascii")
 
@@ -376,7 +380,7 @@ def _meta_boundary(data: bytes, q: int) -> bool:
         return True
     if 1 <= c <= 0x40:
         raw = data[q + 1 : q + 1 + c]
-        return len(raw) == c and all(0x20 <= b < 0x7F for b in raw)
+        return len(raw) == c and not raw.translate(None, _PRINTABLE)
     return False
 
 
