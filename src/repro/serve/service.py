@@ -2,10 +2,16 @@
 
 One event loop, four long-lived tasks:
 
-- **accept loop** (``asyncio.start_server``): reads NDJSON request lines,
-  sniffs HTTP probes (``GET /healthz`` etc.) on the same port, enqueues
-  scoring requests onto a *bounded* queue, and sheds with a structured
-  503-style response when the queue is full.
+- **accept loop** (``asyncio.start_server``): one reader and one writer per
+  connection.  The reader keeps reading NDJSON request lines while earlier
+  ones are queued or scored, sniffs HTTP probes (``GET /healthz`` etc.) on
+  the same port, enqueues scoring requests onto a *bounded* queue, and sheds
+  with a structured 503-style response when the queue is full.  The writer
+  sends the answers strictly in request order.  Read-ahead is bounded per
+  connection: at most ``max_batch`` lines and ``max_line_bytes`` of them in
+  flight (read but not yet answered), though a line is always admitted when
+  nothing else is; at a bound the reader stops reading, so TCP pushes back
+  on the client.  The idle timer runs only while a connection owes nothing.
 - **batcher**: awaits one request, takes whatever else is already queued
   (up to ``max_batch`` requests, never waiting for more), drops
   already-expired requests with 504-style responses, and runs the synchronous
@@ -19,13 +25,15 @@ One event loop, four long-lived tasks:
   skipped (last-good artifact keeps serving) until the pointer moves again.
 
 ``SIGTERM``/``SIGINT`` set the draining flag: ``/readyz`` flips to 503, the
-listener closes, queued requests are scored and answered, then the daemon
+listener stops accepting, queued requests are scored and every connection
+writes the answers it owes, then the connections close and the daemon
 exits 0.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import signal
 import time
@@ -50,7 +58,8 @@ class ServeConfig:
     port: int = 8765
     #: bounded request queue: beyond this, requests are shed with a 503
     max_queue: int = 256
-    #: most queued requests taken into one scoring call
+    #: most queued requests taken into one scoring call, and most request
+    #: lines one connection holds in flight
     max_batch: int = 32
     #: per-request deadline (queue wait + scoring)
     request_timeout_s: float = 10.0
@@ -62,7 +71,8 @@ class ServeConfig:
     idle_timeout_s: float = 60.0
     #: seconds between CURRENT-pointer polls (0 disables hot reload)
     reload_poll_s: float = 2.0
-    #: longest accepted request line
+    #: longest accepted request line, and most bytes of request lines one
+    #: connection holds in flight
     max_line_bytes: int = 8 << 20
     #: salvage-decode budget per request payload
     decode_timeout_s: float = 10.0
@@ -119,6 +129,30 @@ class ServeConfig:
     feedback_capacity: int = 4096
 
 
+class _Connection:
+    """One client connection: the answers it owes, in request order."""
+
+    def __init__(self, writer: asyncio.StreamWriter):
+        self.writer = writer
+        #: ``(t0, id, answer, line bytes)`` per admitted line, then ``None``
+        #: once the reader stops
+        self.slots: asyncio.Queue[tuple | None] = asyncio.Queue()
+        #: lines admitted but not yet answered, and their bytes
+        self.owed = 0
+        self.owed_bytes = 0
+        #: set after each answer, so a reader held at a bound looks again
+        self.answered = asyncio.Event()
+        #: when the connection last read a line or finished an answer; the
+        #: idle timer counts from here while nothing is owed
+        self.quiet_since = time.monotonic()
+        #: the client could not take an answer, or went idle: the rest are
+        #: not sent
+        self.dropped = False
+        #: the reader task, and the idle timer that may cancel it
+        self.reading: asyncio.Task | None = None
+        self.idle_timer: asyncio.TimerHandle | None = None
+
+
 class ScoringService:
     """Lifecycle owner for the daemon; usable in-process for tests."""
 
@@ -141,7 +175,7 @@ class ScoringService:
         self._inflight = 0
         self._bad_versions: set[str] = set()
         self._stop_event = asyncio.Event()
-        self._writers: set[asyncio.StreamWriter] = set()
+        self._conns: set[_Connection] = set()
         self.monitor: DriftMonitor | None = None
         if config.drift_window > 0:
             self.monitor = DriftMonitor(
@@ -226,16 +260,26 @@ class ScoringService:
         await self._stop_event.wait()
         await self.shutdown()
 
+    def _drained(self) -> bool:
+        return (
+            self.queue.empty()
+            and not self._inflight
+            and not any(conn.owed for conn in self._conns)
+        )
+
     async def shutdown(self) -> None:
-        """Drain-then-exit: stop accepting, answer everything queued, stop."""
+        """Drain-then-exit: stop accepting, answer every request read, close
+        the connections, stop."""
         self.draining = True
+        # the listener is awaited only after the connections close: from
+        # CPython 3.12 it waits for every connection, so an idle client would
+        # hold the drain
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         deadline = time.monotonic() + self.config.drain_timeout_s
-        while (not self.queue.empty() or self._inflight) and time.monotonic() < deadline:
+        while not self._drained() and time.monotonic() < deadline:
             await asyncio.sleep(0.02)
-        drained = self.queue.empty() and not self._inflight
+        drained = self._drained()
         for task in (
             self._supervisor_task,
             self._reload_task,
@@ -248,10 +292,16 @@ class ScoringService:
                     await task
                 except (asyncio.CancelledError, Exception):
                     pass
-        # connections still waiting on a response have been answered by the
-        # drained batcher; anything left is a half-open client
-        for writer in list(self._writers):
-            writer.close()
+        # what is still open is idle, half-open, or past the drain deadline
+        for conn in list(self._conns):
+            conn.writer.close()
+        if self._server is not None:
+            try:
+                await asyncio.wait_for(
+                    self._server.wait_closed(), timeout=max(deadline - time.monotonic(), 0.0)
+                )
+            except asyncio.TimeoutError:
+                pass
         log_event(
             logger,
             "serve.stopped",
@@ -262,86 +312,141 @@ class ScoringService:
     # -- connection handling --------------------------------------------
 
     async def _handle_conn(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-        self._writers.add(writer)
+        conn = _Connection(writer)
+        self._conns.add(conn)
+        conn.reading = asyncio.create_task(self._read_requests(reader, conn))
+        conn.idle_timer = asyncio.get_running_loop().call_later(
+            self.config.idle_timeout_s, self._watch_idle, conn
+        )
+        try:
+            await self._answer_in_order(conn)
+            last_word = None if conn.dropped else await conn.reading
+            if last_word is not None:
+                await last_word()
+        except (ConnectionError, BrokenPipeError):
+            pass
+        finally:
+            conn.reading.cancel()
+            self._conns.discard(conn)
+            writer.close()
+
+    async def _read_requests(self, reader: asyncio.StreamReader, conn: _Connection):
+        """Admit request lines while earlier ones are queued or scored, within
+        the connection's read-ahead bounds.  Returns the connection's last
+        word, sent after every answer it owes: an HTTP probe's answer or the
+        refusal of an overlong line."""
         try:
             while True:
+                await self._room(conn, 0)
                 try:
-                    line = await asyncio.wait_for(
-                        reader.readline(), timeout=self.config.idle_timeout_s
-                    )
-                except asyncio.TimeoutError:
-                    self.stats.slow_client_drops += 1
-                    log_event(logger, "serve.idle_drop", peer=_peer(writer))
-                    return
+                    line = await reader.readline()
                 except (ValueError, asyncio.LimitOverrunError):
                     # line longer than max_line_bytes: refuse and drop the
                     # connection (the stream is no longer line-aligned)
                     self.stats.bad_lines += 1
-                    await self._send_line(
-                        writer,
-                        error_response(
-                            "?", BadRequest(f"line exceeds {self.config.max_line_bytes} bytes")
-                        ),
+                    refusal = error_response(
+                        "?", BadRequest(f"line exceeds {self.config.max_line_bytes} bytes")
                     )
-                    return
+                    return functools.partial(self._send_line, conn.writer, refusal)
                 if not line:
-                    return  # EOF
+                    return None  # EOF
+                conn.quiet_since = time.monotonic()
                 if line.startswith(_HTTP_METHODS):
-                    await self._handle_http(line, reader, writer)
-                    return
+                    return functools.partial(self._handle_http, line, reader, conn.writer)
                 if not line.strip():
+                    # buffered lines are read without yielding; a run of
+                    # blank ones, which are never admitted, must not hold
+                    # the event loop
+                    await asyncio.sleep(0)
                     continue
-                response = await self._handle_request_line(line)
-                if not await self._send_line(writer, response):
-                    return
+                await self._room(conn, len(line))
+                conn.owed += 1
+                conn.owed_bytes += len(line)
+                conn.slots.put_nowait((*self._admit(line), len(line)))
         except (ConnectionError, BrokenPipeError):
-            pass
+            return None
         finally:
-            self._writers.discard(writer)
-            writer.close()
+            conn.idle_timer.cancel()
+            conn.slots.put_nowait(None)
 
-    async def _handle_request_line(self, line: bytes) -> dict:
+    async def _room(self, conn: _Connection, nbytes: int) -> None:
+        """Wait until the connection may admit a line of ``nbytes``: at most
+        ``max_batch`` lines and ``max_line_bytes`` of them in flight, though
+        a line is always admitted when nothing else is."""
+        while conn.owed and (
+            conn.owed >= self.config.max_batch
+            or conn.owed_bytes + nbytes > self.config.max_line_bytes
+        ):
+            conn.answered.clear()
+            await conn.answered.wait()
+
+    def _watch_idle(self, conn: _Connection) -> None:
+        """Idle timer callback: drop the connection once it has owed nothing
+        and sent no line for ``idle_timeout_s``; until then, look again when
+        that could hold.  One timer per connection, not one per read."""
+        idle = self.config.idle_timeout_s
+        left = idle if conn.owed else conn.quiet_since + idle - time.monotonic()
+        if left > 0:
+            conn.idle_timer = asyncio.get_running_loop().call_later(left, self._watch_idle, conn)
+            return
+        self.stats.slow_client_drops += 1
+        log_event(logger, "serve.idle_drop", peer=_peer(conn.writer))
+        conn.dropped = True
+        conn.reading.cancel()
+
+    def _admit(self, line: bytes) -> tuple[float, str, dict | asyncio.Future]:
+        """Parse one request line and queue it for the batcher.  Returns
+        ``(t0, id, answer)``: the answer is the future the batcher resolves,
+        or a response decided on the spot (400, 503)."""
         self.stats.received += 1
         now = time.monotonic()
         try:
             raw = parse_request_line(line)
         except BadRequest as exc:
             self.stats.bad_lines += 1
-            return self._finish("?", error_response("?", exc), now)
+            return now, "?", error_response("?", exc)
         req_id = str(raw.get("id", "?"))
+        if self.draining:
+            return now, req_id, error_response(req_id, Overloaded("service is draining"))
         req = ScoreRequest(
             req_id=req_id,
             raw=raw,
             received_mono=now,
             deadline_mono=now + self.config.request_timeout_s,
         )
-        if self.draining:
-            return self._finish(
-                req_id, error_response(req_id, Overloaded("service is draining")), now
-            )
         req.future = asyncio.get_running_loop().create_future()
         try:
             self.queue.put_nowait(req)
         except asyncio.QueueFull:
             self.stats.shed += 1
-            return self._finish(
+            return now, req_id, error_response(
                 req_id,
-                error_response(
-                    req_id,
-                    Overloaded(
-                        f"request queue is full ({self.config.max_queue}); shed"
-                    ),
-                ),
-                now,
+                Overloaded(f"request queue is full ({self.config.max_queue}); shed"),
             )
-        try:
-            response = await asyncio.wait_for(
-                req.future,
-                timeout=self.config.request_timeout_s + self.config.score_timeout_s + 5.0,
-            )
-        except asyncio.TimeoutError:  # batcher lost the request: answer anyway
-            response = error_response(req_id, ScoringWedged("response never materialized"))
-        return self._finish(req_id, response, now)
+        return now, req_id, req.future
+
+    async def _answer_in_order(self, conn: _Connection) -> None:
+        """Write the connection's answers in request order until its reader
+        stops.  After a client fails to take one, the reader is stopped and
+        the rest are finished but not sent."""
+        budget = self.config.request_timeout_s + self.config.score_timeout_s + 5.0
+        while (slot := await conn.slots.get()) is not None:
+            t0, req_id, answer, nbytes = slot
+            if not isinstance(answer, dict):
+                try:
+                    answer = await asyncio.wait_for(
+                        answer, timeout=max(t0 + budget - time.monotonic(), 0.0)
+                    )
+                except asyncio.TimeoutError:  # batcher lost the request: answer anyway
+                    answer = error_response(req_id, ScoringWedged("response never materialized"))
+            response = self._finish(req_id, answer, t0)
+            if not conn.dropped and not await self._send_line(conn.writer, response):
+                conn.dropped = True
+                conn.reading.cancel()
+            conn.owed -= 1
+            conn.owed_bytes -= nbytes
+            conn.quiet_since = time.monotonic()
+            conn.answered.set()
 
     def _finish(self, req_id: str, response: dict, t0: float) -> dict:
         latency_ms = (time.monotonic() - t0) * 1e3

@@ -90,6 +90,31 @@ def trace_payload(**kwargs) -> str:
     return base64.b64encode(encode_trace(make_trace(**kwargs))).decode()
 
 
+def request_line(doc: dict) -> bytes:
+    return json.dumps(doc).encode() + b"\n"
+
+
+async def read_answers(reader, n: int, *, timeout: float = 10.0) -> list[dict]:
+    return [json.loads(await asyncio.wait_for(reader.readline(), timeout)) for _ in range(n)]
+
+
+def in_flight(service) -> int:
+    """Requests queued or in the batcher's hands."""
+    return service.queue.qsize() + service._inflight
+
+
+def unanswered(service) -> int:
+    """Lines read but not yet answered, malformed ones included."""
+    return service.stats.received - service.stats.answered
+
+
+async def stays(predicate, what: str, *, seconds: float = 0.2) -> None:
+    """Assert ``predicate`` holds on every 10 ms poll for ``seconds``."""
+    for _ in range(int(seconds / 0.01)):
+        assert predicate(), what
+        await asyncio.sleep(0.01)
+
+
 # ---------------------------------------------------------------------------
 # protocol + robustness
 # ---------------------------------------------------------------------------
@@ -393,6 +418,157 @@ class TestBatching:
             assert r["margin"] == float(solo_margin[0]), r["id"]
 
 
+class TestPipelining:
+    def test_one_connection_fills_a_batch_and_answers_in_order(self, small_artifact_root):
+        """One client writes six lines without reading.  While the batcher is
+        held, the daemon reads ahead exactly ``max_batch`` lines, scores the
+        read-ahead requests as one batch, and answers strictly in request
+        order: the malformed line's 400, ready at once, waits behind the
+        requests read before it."""
+        payloads = {f"p{i}": trace_payload(seed=i) for i in (0, 1, 4, 5)}
+        rows = make_trace(seed=2).rows
+        docs = [
+            {"id": "p0", "payload_b64": payloads["p0"]},
+            {"id": "p1", "payload_b64": payloads["p1"]},
+            {"id": "rows", "rows": rows.tolist()},
+            None,  # malformed
+            {"id": "p4", "payload_b64": payloads["p4"]},
+            {"id": "p5", "payload_b64": payloads["p5"]},
+        ]
+        lines = [request_line(d) if d else b"}{ not json\n" for d in docs]
+
+        async def scenario():
+            service = ScoringService(serve_config(small_artifact_root, max_batch=4))
+            await service.start()
+            block = _BlockingScore(service.scorer)
+            try:
+                reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
+                writer.write(b"".join(lines))
+                await writer.drain()
+                # the first 4 lines are read: 3 requests in flight, 1 400
+                await wait_for_state(lambda: unanswered(service) == 4, "4 lines read ahead")
+                await stays(
+                    lambda: unanswered(service) == 4 and in_flight(service) == 3,
+                    "read-ahead passed max_batch",
+                )
+                block.release.set()
+                answers = await read_answers(reader, len(lines))
+                writer.close()
+                return answers, block.batches, service.scorer.artifact
+            finally:
+                block.release.set()
+                await service.shutdown()
+
+        answers, batches, artifact = asyncio.run(scenario())
+        assert [a["id"] for a in answers] == ["p0", "p1", "rows", "?", "p4", "p5"]
+        assert [a["status"] for a in answers] == [200, 200, 200, 400, 200, 200]
+        assert max(len(batch) for batch in batches) >= 2
+        solo_rows = {
+            req_id: decode_trace(base64.b64decode(b64))[0].rows for req_id, b64 in payloads.items()
+        } | {"rows": rows}
+        for a in answers:
+            if a["status"] != 200:
+                continue
+            solo = np.asarray(solo_rows[a["id"]], dtype=np.float64)
+            groups = np.zeros(solo.shape[0], dtype=np.int64)
+            margins, verdicts = artifact.score_traces(solo, groups, 1)
+            solo_margin, _ = trace_verdicts(margins, groups, 1)
+            assert a["verdict"] == int(verdicts[0]), a["id"]
+            assert a["margin"] == float(solo_margin[0]), a["id"]
+
+    def test_line_bytes_bound_the_read_ahead(self, small_artifact_root):
+        """With ``max_line_bytes`` about 2.5 lines, at most 2 of a
+        connection's lines are in flight; a line over the bound by itself is
+        admitted once nothing else is in flight."""
+        lines = [
+            request_line({"id": f"s{i}", "payload_b64": trace_payload(seed=i)}) for i in range(6)
+        ]
+        bound = int(2.5 * max(len(line) for line in lines))
+        # the longest line the reader accepts: max_line_bytes, then "\n"
+        big = lines[0].replace(b'"s0"', b'"big"').rstrip(b"\n")
+        big = big + b" " * (bound - len(big)) + b"\n"
+        assert len(big) == bound + 1
+
+        async def scenario():
+            service = ScoringService(
+                serve_config(small_artifact_root, max_batch=8, max_line_bytes=bound)
+            )
+            await service.start()
+            block = _BlockingScore(service.scorer)
+            try:
+                reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
+                writer.write(b"".join(lines))
+                await writer.drain()
+                await wait_for_state(lambda: in_flight(service) == 2, "2 lines in flight")
+                await stays(
+                    lambda: in_flight(service) == unanswered(service) == 2,
+                    "read-ahead passed max_line_bytes",
+                )
+                block.release.set()
+                first = await read_answers(reader, len(lines))
+                block.release.clear()
+                writer.write(lines[1] + big)
+                await writer.drain()
+                await wait_for_state(lambda: in_flight(service) == 1, "s1 in flight")
+                await stays(
+                    lambda: in_flight(service) == unanswered(service) == 1,
+                    "the big line joined s1",
+                )
+                block.release.set()
+                second = await read_answers(reader, 2)
+                writer.close()
+                return first, second
+            finally:
+                block.release.set()
+                await service.shutdown()
+
+        first, second = asyncio.run(scenario())
+        assert [a["id"] for a in first] == [f"s{i}" for i in range(6)]
+        assert [a["id"] for a in second] == ["s1", "big"]
+        assert all(a["ok"] for a in first + second)
+
+    def test_idle_timer_waits_while_an_answer_is_owed(self, small_artifact_root):
+        """A connection that is owed an answer is never idle: a 0.8 s batch
+        under a 0.3 s idle timeout is answered and the connection serves the
+        next request.  A connection owed nothing is still dropped."""
+
+        async def scenario():
+            service = ScoringService(serve_config(small_artifact_root, idle_timeout_s=0.3))
+            await service.start()
+            block = _BlockingScore(service.scorer)
+            try:
+                reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
+                writer.write(request_line({"id": "slow", "payload_b64": trace_payload()}))
+                await writer.drain()
+                await asyncio.sleep(0.8)
+                block.release.set()
+                [slow] = await read_answers(reader, 1)
+                writer.write(request_line({"id": "next", "payload_b64": trace_payload()}))
+                await writer.drain()
+                [after] = await read_answers(reader, 1)
+                writer.close()
+                kept = service.stats.slow_client_drops
+
+                reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
+                writer.write(b'{"id": "stall", ')
+                await writer.drain()
+                loop = asyncio.get_running_loop()
+                t0 = loop.time()
+                eof = await asyncio.wait_for(reader.read(), timeout=5)
+                waited = loop.time() - t0
+                writer.close()
+                return slow, after, kept, eof, waited, service.stats.slow_client_drops
+            finally:
+                block.release.set()
+                await service.shutdown()
+
+        slow, after, kept, eof, waited, drops = asyncio.run(scenario())
+        assert slow["ok"] and after["ok"]
+        assert kept == 0
+        assert eof == b"" and waited >= 0.25
+        assert drops == 1
+
+
 class TestDrain:
     def test_sigterm_style_drain_answers_all_inflight(self, small_artifact_root):
         """Every request accepted before the drain begins is answered; no
@@ -418,6 +594,64 @@ class TestDrain:
             assert service.stats.received == service.stats.answered
 
         asyncio.run(scenario())
+
+    def test_drain_answers_pipelined_lines_in_order_then_closes(self, small_artifact_root):
+        lines = [
+            request_line({"id": f"d{i}", "payload_b64": trace_payload(seed=i)}) for i in range(6)
+        ]
+
+        async def scenario():
+            service = ScoringService(serve_config(small_artifact_root, max_batch=8))
+            await service.start()
+            block = _BlockingScore(service.scorer)
+            stopping = None
+            try:
+                reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
+                writer.write(b"".join(lines))
+                await writer.drain()
+                await wait_for_state(lambda: in_flight(service) == 6, "6 lines in flight")
+                stopping = asyncio.create_task(service.shutdown())
+                await wait_for_state(lambda: service.draining, "the drain to start")
+                block.release.set()
+                answers = await read_answers(reader, len(lines))
+                eof = await asyncio.wait_for(reader.read(), timeout=10)
+                writer.close()
+                return answers, eof, service.stats
+            finally:
+                block.release.set()
+                await (stopping or service.shutdown())
+
+        answers, eof, stats = asyncio.run(scenario())
+        assert [a["id"] for a in answers] == [f"d{i}" for i in range(6)]
+        assert all(a["ok"] for a in answers)
+        assert eof == b""
+        assert stats.received == stats.answered == 6
+
+    def test_idle_connection_does_not_hold_the_drain(self, small_artifact_root):
+        """A keep-alive client left idle during shutdown sees EOF, and the
+        drain does not wait for its idle timeout."""
+
+        async def scenario():
+            service = ScoringService(
+                serve_config(small_artifact_root, idle_timeout_s=60.0, drain_timeout_s=3.0)
+            )
+            await service.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
+            writer.write(request_line({"id": "once", "payload_b64": trace_payload()}))
+            await writer.drain()
+            [once] = await read_answers(reader, 1)
+            assert once["ok"]
+            loop = asyncio.get_running_loop()
+            t0 = loop.time()
+            await service.shutdown()
+            took = loop.time() - t0
+            eof = await asyncio.wait_for(reader.read(), timeout=5)
+            writer.close()
+            return took, eof
+
+        took, eof = asyncio.run(scenario())
+        assert eof == b""
+        assert took < 3.0
 
     def test_requests_during_drain_get_503(self, small_artifact_root):
         async def scenario():

@@ -347,9 +347,9 @@ class TestReloadRace:
                 await wait_for_state(
                     lambda: service._inflight == 1, "the batcher to take the gate request"
                 )
-                # one request per connection: the NDJSON protocol is
-                # request/response sequential per connection, so concurrent
-                # in-flight requests (one batch) need 3 sockets
+                # one request on each of 3 connections: the racing requests
+                # come from separate clients, and all 3 must be queued
+                # before the gate opens so one batch takes them together
                 conns = [
                     await asyncio.open_connection("127.0.0.1", service.port)
                     for _ in range(3)

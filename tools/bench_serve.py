@@ -7,15 +7,17 @@ for ``/readyz``, then drives it through phases:
 1. **burst** — more simultaneous clients than the bounded queue holds, to
    exercise backpressure; shed (503) responses are answers, not errors.
 2. **chaos** (``--chaos``) — injected corrupt payloads, malformed JSON,
+   a client that pipelines good, malformed and corrupt lines in one write,
    truncated writes, stalled clients, a corrupt ``CURRENT`` artifact pointer
    followed by a good hot swap — all while normal load continues.
 
 Then SIGTERM, drain, and the hard assertions: the daemon exits 0 (zero
 crashes) with a drain summary, every well-formed request got a structured
 response, every injected-fault request got a *structured error* (not a hang
-or a dropped daemon), readiness held through the corrupt swap, the good swap
-was picked up, and ``/healthz`` answered at the end.  Latency and throughput
-are measured by ``perfbench/``, not here.
+or a dropped daemon), the pipelined answers came back in request order,
+readiness held through the corrupt swap, the good swap was picked up, and
+``/healthz`` answered at the end.  Latency and throughput are measured by
+``perfbench/``, not here.
 
 Usage::
 
@@ -202,11 +204,10 @@ async def load_client(port: int, payloads: list[str], n: int, tag: str, tally: T
         writer.close()
 
 
-async def chaos_corrupt_client(port: int, payloads: list[str], n: int, tag: str, tally: Tally):
-    """Corrupt payloads: truncated codec bytes, garbage base64, bad fields.
-    Every one must come back as a structured error."""
+def corrupt_variants(payloads: list[str]) -> list[dict]:
+    """Request bodies the daemon must refuse with a structured error."""
     blob = base64.b64decode(payloads[0])
-    variants = [
+    return [
         {"payload_b64": base64.b64encode(blob[: len(blob) // 3]).decode()},  # truncated
         {"payload_b64": base64.b64encode(os.urandom(256)).decode()},  # garbage bytes
         {"payload_b64": "!!!not-base64!!!"},  # invalid encoding
@@ -214,6 +215,12 @@ async def chaos_corrupt_client(port: int, payloads: list[str], n: int, tag: str,
         {"rows": []},  # empty
         {},  # no payload at all
     ]
+
+
+async def chaos_corrupt_client(port: int, payloads: list[str], n: int, tag: str, tally: Tally):
+    """Corrupt payloads: truncated codec bytes, garbage base64, bad fields.
+    Every one must come back as a structured error."""
+    variants = corrupt_variants(payloads)
     try:
         reader, writer = await asyncio.open_connection("127.0.0.1", port)
     except OSError:
@@ -251,6 +258,62 @@ async def chaos_malformed_lines(port: int, n: int, tally: Tally):
                 return
     finally:
         writer.close()
+
+
+async def chaos_pipelined_client(
+    port: int, payloads: list[str], n: int, tag: str, tally: Tally, results: dict
+):
+    """One write of ``n`` lines (good payloads, malformed lines and corrupt
+    payloads, interleaved), then ``n`` reads.  The daemon reads ahead on the
+    connection, so every answer must be structured and in request order:
+    good and corrupt requests under their own ids, malformed lines as
+    ``"?"``-id 400s."""
+    variants = corrupt_variants(payloads)
+    lines: list[bytes] = []
+    expected: list[tuple[str, str]] = []  # (id, kind) per position
+    for i in range(n):
+        req_id = f"{tag}-{i}"
+        if i % 3 == 0:
+            doc = {"id": req_id, "payload_b64": payloads[i % len(payloads)]}
+            lines.append(json.dumps(doc).encode() + b"\n")
+            expected.append((req_id, "good"))
+        elif i % 3 == 1:
+            lines.append(b"}{ pipelined garbage %d\n" % i)
+            expected.append(("?", "malformed"))
+        else:
+            doc = {"id": req_id, **variants[i % len(variants)]}
+            lines.append(json.dumps(doc).encode() + b"\n")
+            expected.append((req_id, "corrupt"))
+    answers: list[dict] = []
+    try:
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    except OSError:
+        reader = writer = None
+    if writer is not None:
+        try:
+            writer.write(b"".join(lines))
+            await writer.drain()
+            for _ in range(n):
+                line = await asyncio.wait_for(reader.readline(), timeout=30)
+                if not line.strip():
+                    break
+                answers.append(json.loads(line))
+        except (OSError, asyncio.TimeoutError, ValueError):
+            pass
+        finally:
+            writer.close()
+    in_order = len(answers) == n
+    for (req_id, kind), answer in zip(expected, answers):
+        tally.record(answer, fault=kind != "good")
+        if answer.get("id") != req_id:
+            in_order = False
+        elif kind == "malformed" and answer.get("status") != 400:
+            in_order = False
+        elif not answer.get("ok") and "error" not in answer:
+            in_order = False
+    for _, kind in expected[len(answers):]:
+        tally.record(None, fault=kind != "good")
+    results["pipelined_in_order"] = in_order
 
 
 async def chaos_truncated_write(port: int, payloads: list[str]):
@@ -334,6 +397,7 @@ async def run_phases(
         await asyncio.gather(
             chaos_corrupt_client(port, payloads, n_faults, "corrupt", tally),
             chaos_malformed_lines(port, n_faults, tally),
+            chaos_pipelined_client(port, payloads, n_faults, "pipelined", tally, chaos),
             chaos_truncated_write(port, payloads),
             chaos_truncated_write(port, payloads),
             chaos_stalled_client(port, hold_s=8.0),
@@ -415,6 +479,8 @@ def main(argv: list[str] | None = None) -> int:
             )
         if tally.fault_structured == 0:
             failures.append("chaos mode ran but no injected fault was exercised")
+        if not chaos.get("pipelined_in_order"):
+            failures.append("pipelined answers missing or out of order")
         if not chaos.get("ready_during_bad_swap"):
             failures.append("daemon lost readiness during the corrupt artifact swap")
         if not chaos.get("hot_swap_observed"):
@@ -434,6 +500,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.chaos:
         print(
             f"chaos: {tally.fault_structured} faults answered structurally, "
+            f"pipelined_in_order={chaos.get('pipelined_in_order')}, "
             f"hot_swap={chaos.get('hot_swap_observed')}, "
             f"reload_failures={daemon_final.get('reload_failures')}"
         )
