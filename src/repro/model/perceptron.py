@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ModelError
+from ..features.normalize import chunk_rows
 from . import _native
 from .kernels import ONLINE_KERNELS, TrainPlan, resolve_kernel
 
@@ -36,14 +37,30 @@ def quantize_bins(X: np.ndarray, n_bins: int) -> np.ndarray:
     shares it.  The trainer and scorer compute it once per matrix and hand
     the bins to each member; the trainer's threads all read one such uint8
     matrix (8x smaller than the float64 features).
+
+    Rows are quantized one :func:`~repro.features.normalize.chunk_rows`
+    chunk at a time straight into the preallocated output, so the call holds
+    that output plus one float64 chunk (about 1 MB) however many rows ``X``
+    has.  ``X`` is only read.  Every step is elementwise, so the bins are the
+    same bits as one full-matrix pass.
     """
-    X = np.asarray(X, dtype=np.float64)
-    scaled = np.clip(X, -4.0, 4.0)
-    scaled += 4.0
-    scaled *= n_bins / 8.0
-    bins = scaled.astype(np.int64)
-    np.minimum(bins, n_bins - 1, out=bins)
-    return bins.astype(np.uint8)
+    X = np.asarray(X)
+    out = np.empty(X.shape, dtype=np.uint8)
+    step = chunk_rows(X)
+    scaled = np.empty((min(step, len(X)), *X.shape[1:]), dtype=np.float64)
+    for start in range(0, len(X), step):
+        rows = np.asarray(X[start : start + step], dtype=np.float64)
+        part = scaled[: len(rows)]
+        np.clip(rows, -4.0, 4.0, out=part)
+        part += 4.0
+        part *= n_bins / 8.0
+        # part is in [0, n_bins] or NaN here.  Capping it before the cast
+        # truncates is the same as capping after, and a NaN, whose cast to
+        # an integer is undefined, goes to bucket 0
+        np.minimum(part, n_bins - 1, out=part)
+        np.fmax(part, 0.0, out=part)
+        out[start : start + step] = part
+    return out
 
 
 class HashedPerceptron:
@@ -64,6 +81,13 @@ class HashedPerceptron:
             # quantized bins pack into uint8 so an ensemble's members, and
             # the trainer's threads, can share one bins matrix
             raise ModelError(f"n_bins must be in [1, 256], got {n_bins}")
+        # the weight tables are allocated below, so a config outside these
+        # ranges fails here with a typed error instead of in numpy or the
+        # native kernel; load() applies the same rules to saved files
+        if not (1 <= int(table_bits) <= 30):
+            raise ModelError(f"implausible table_bits {table_bits}, expected 1..30")
+        if not (1 <= int(n_tables) <= 1 << 16):
+            raise ModelError(f"implausible n_tables {n_tables}, expected 1..65536")
         self.n_features = int(n_features)
         self.n_tables = int(n_tables)
         self.table_bits = int(table_bits)
@@ -74,6 +98,8 @@ class HashedPerceptron:
         # theta keeps every sample below threshold forever and training
         # degenerates into label counting
         self.theta = float(theta) if theta is not None else 1.93 * n_features**0.5 + 14
+        if not np.isfinite(self.theta) or self.theta < 0:
+            raise ModelError(f"theta {self.theta} is not a finite non-negative value")
         self.weight_clamp = int(weight_clamp)
         self.seed = int(seed)
         self.weights = np.zeros((self.n_tables, self.table_size), dtype=np.int32)
@@ -313,22 +339,18 @@ class HashedPerceptron:
                 n_features, n_tables, table_bits, n_bins, clamp, seed = (
                     int(v) for v in config
                 )
-                if not (1 <= table_bits <= 30):
-                    raise ModelError(f"{path}: implausible table_bits {table_bits}")
-                if not (1 <= n_tables <= 1 << 16):
-                    raise ModelError(f"{path}: implausible n_tables {n_tables}")
-                theta = float(doc["theta"])
-                if not np.isfinite(theta) or theta < 0:
-                    raise ModelError(f"{path}: theta {theta} is not a finite non-negative value")
-                model = cls(
-                    n_features,
-                    n_tables=n_tables,
-                    table_bits=table_bits,
-                    n_bins=n_bins,
-                    theta=theta,
-                    weight_clamp=clamp,
-                    seed=seed,
-                )
+                try:
+                    model = cls(
+                        n_features,
+                        n_tables=n_tables,
+                        table_bits=table_bits,
+                        n_bins=n_bins,
+                        theta=float(doc["theta"]),
+                        weight_clamp=clamp,
+                        seed=seed,
+                    )
+                except ModelError as exc:
+                    raise ModelError(f"{path}: {exc}") from exc
                 weights = np.asarray(doc["weights"])
                 if weights.shape != model.weights.shape:
                     raise ModelError(

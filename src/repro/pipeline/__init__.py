@@ -145,7 +145,9 @@ def per_family_metrics(
 def split_traces(traces, test_frac: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Stratified per-class trace split; classes with a single trace stay in
     train, so a corpus of single-trace classes has an empty test split.
-    Returns (train_idx, test_idx)."""
+    Returns (train_idx, test_idx).  ``test_frac`` must lie in [0, 1)."""
+    if not 0 <= test_frac < 1:
+        raise ValueError(f"test_frac must be in [0, 1), got {test_frac}")
     rng = np.random.default_rng(seed)
     by_class: dict[str, list[int]] = {}
     for i, trace in enumerate(traces):

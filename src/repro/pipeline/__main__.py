@@ -88,6 +88,8 @@ def main(argv: list[str] | None = None) -> int:
     if save_artifact:
         parser.prog += " save-artifact"
     args = parser.parse_args(argv)
+    if not 0 <= args.test_frac < 1:
+        parser.error(f"--test-frac must be in [0, 1), got {args.test_frac}")
     if save_artifact and args.artifact_root is None:
         args.artifact_root = "runs/artifact"
     try:

@@ -9,6 +9,13 @@ import sys
 from .service import ServeConfig, run_service
 
 
+def _positive_seconds(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be a positive number of seconds, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     defaults = ServeConfig()
     parser = argparse.ArgumentParser(
@@ -33,7 +40,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--request-timeout", type=float, default=defaults.request_timeout_s)
     parser.add_argument("--score-timeout", type=float, default=defaults.score_timeout_s)
     parser.add_argument("--write-timeout", type=float, default=defaults.write_timeout_s)
-    parser.add_argument("--idle-timeout", type=float, default=defaults.idle_timeout_s)
+    parser.add_argument(
+        "--idle-timeout",
+        type=_positive_seconds,
+        default=defaults.idle_timeout_s,
+        help="drop a connection that owes nothing and sends no line for this long",
+    )
     parser.add_argument("--decode-timeout", type=float, default=defaults.decode_timeout_s)
     parser.add_argument(
         "--reload-poll",

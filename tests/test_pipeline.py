@@ -96,6 +96,54 @@ def test_split_is_stratified_and_leak_free(tmp_path):
     assert test_labels == {True, False}
 
 
+@pytest.mark.parametrize("frac", [-0.2, 1.0, 1.5, float("nan")])
+def test_split_refuses_test_frac_outside_unit_interval(frac):
+    # outside [0, 1) the per-class count silently inverts the split
+    with pytest.raises(ValueError, match="test_frac"):
+        split_traces([], test_frac=frac, seed=0)
+
+
+@pytest.mark.parametrize("frac", ["-0.2", "1.5"])
+def test_cli_refuses_test_frac_before_ingest(tmp_path, capsys, frac):
+    # a missing corpus would fail in ingest with a returned 2; SystemExit
+    # shows the value was refused while parsing, before any ingest
+    with pytest.raises(SystemExit) as exc:
+        cli_main(
+            [
+                "--trace-dir", str(tmp_path / "no_such_corpus"),
+                "--out", str(tmp_path / "run"),
+                "--test-frac", frac,
+            ]
+        )
+    assert exc.value.code == 2
+    assert "--test-frac must be in [0, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--n-tables", "0"), ("--table-bits", "40"), ("--theta", "-5")]
+)
+def test_cli_refuses_unbuildable_model_and_publishes_nothing(tmp_path, capsys, flag, value):
+    corpus = tmp_path / "corpus"
+    write_synthetic_corpus(corpus, n_benign=4, n_attack=4)
+    root = tmp_path / "artifact"
+    rc = cli_main(
+        [
+            "save-artifact",
+            "--trace-dir", str(corpus),
+            "--out", str(tmp_path / "run"),
+            "--artifact-root", str(root),
+            "--epochs", "2",
+            "--n-models", "1",
+            flag, value,
+        ]
+    )
+    assert rc == 2
+    assert "pipeline failed: [model_error]" in capsys.readouterr().err
+    assert not (root / "CURRENT").exists()
+    assert not list(root.glob("v*"))
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     write_synthetic_corpus(corpus, n_benign=4, n_attack=4)

@@ -23,6 +23,7 @@ from repro.model import ArtifactStore, HashedPerceptron, margin_scales, trace_ve
 from repro.pipeline import PipelineConfig, _margin_stats, run_pipeline, split_traces
 from repro.pipeline.__main__ import main as pipeline_main
 from repro.serve import ScoringService, ServeConfig
+from repro.serve.__main__ import build_parser
 from repro.sim.trace import decode_trace, encode_trace, family_key
 
 GOLDEN_CONFIG = {"test_frac": 0.3, "epochs": 8, "seed": 7, "n_models": 2, "theta": 5.0}
@@ -118,6 +119,14 @@ async def stays(predicate, what: str, *, seconds: float = 0.2) -> None:
 # ---------------------------------------------------------------------------
 # protocol + robustness
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_idle_timeout_must_be_positive(value):
+    # at <= 0 the daemon would drop every connection as idle before answering
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["--idle-timeout", value])
+    assert exc.value.code == 2
 
 
 class TestProtocol:
